@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance
-from .fields import ChannelField, ChannelGrid, holder_quotient
+from .fields import ChannelField, ChannelGrid, c_alpha_norm_scales, holder_quotient
 from .mollify import (
     mollification_report,
     write_mollification_csv,
@@ -159,7 +159,7 @@ def cmd_weierstrass_scan(args) -> int:
         p = WeierstrassParams(alpha=float(params["alpha"]), n_terms=n_terms)
         u = velocity_field(p, grid)
         u2 = ChannelField(grid, u.values[1])
-        est = holder_quotient(u2, p.alpha, 4.0 * max(grid.hx, grid.hy), 0.25)
+        est = holder_quotient(u2, p.alpha, *c_alpha_norm_scales(grid))
         rows.append({
             "n_terms": n_terms,
             "truncation_bound": truncation_error_bound(p),
@@ -269,15 +269,13 @@ def cmd_mollify_report(args) -> int:
     return EXIT_OK if (walls_zero and div_ok) else EXIT_INVARIANT
 
 
-def _pressure_velocity(flow: str, alpha: float, n_terms: int, grid: ChannelGrid):
+def _pressure_flow(flow: str, alpha: float, n_terms: int):
+    """The velocity sampler (grid -> field) that a pressure-solve run uses."""
     if flow == "single-mode":
-        return ChannelField.from_function(
-            grid,
-            lambda X, Y: (-np.sin(np.pi * X) * np.cos(np.pi * Y),
-                          np.cos(np.pi * X) * np.sin(np.pi * Y)),
-        )
+        return acceptance.single_mode_flow
     if flow == "weierstrass":
-        return velocity_field(WeierstrassParams(alpha=alpha, n_terms=n_terms), grid)
+        p = WeierstrassParams(alpha=alpha, n_terms=n_terms)
+        return lambda grid: velocity_field(p, grid)
     raise ConfigError(f"unknown flow {flow!r} (use single-mode or weierstrass)")
 
 
@@ -289,29 +287,35 @@ def cmd_pressure_solve(args) -> int:
     grids = _parse_int_list(params["grids"])
     if not grids:
         raise ConfigError("grids must name at least one resolution")
+    channel_grids = [ChannelGrid(nx=int(n), ny=int(n) + 1) for n in grids]
+    for grid in channel_grids:
+        h_min, h_max = c_alpha_norm_scales(grid)
+        if h_min > h_max:
+            raise ConfigError(
+                f"grid nx={grid.nx} is too coarse for the C^alpha norm estimate: "
+                f"4*max(hx, hy) = {h_min:g} exceeds {h_max:g}")
+    flow = _pressure_flow(str(params["flow"]), float(params["alpha"]),
+                          int(params["n_terms"]))
     phi = CutoffProfile(delta=float(params["delta"]))
     out = _out_dir(args)
     rows = []
     invariants_ok = True
     last = None
-    for n in grids:
-        grid = ChannelGrid(nx=int(n), ny=int(n) + 1)
-        u = _pressure_velocity(str(params["flow"]), float(params["alpha"]),
-                               int(params["n_terms"]), grid)
+    for grid in channel_grids:
+        u = flow(grid)
         sol = solve_modified_pressure(u, phi)
         ratio = estimate_ratio(sol, u, float(params["ratio_alpha"]))
         invariants_ok = invariants_ok and sol.pde_residual <= 1e-10 \
             and sol.mean_constraint_residual <= 1e-10
         row = {
-            "nx": int(n),
+            "nx": grid.nx,
             "pde_residual": sol.pde_residual,
             "mean_residual": sol.mean_constraint_residual,
             "neumann_residual": sol.neumann_residual,
             "ratio": ratio,
         }
         if params["flow"] == "single-mode":
-            X, Y = grid.meshgrid()
-            exact = 0.25 * (np.cos(2.0 * np.pi * X) + np.cos(2.0 * np.pi * Y))
+            exact = acceptance.single_mode_pressure(grid)
             row["error"] = float(np.max(np.abs(sol.p.values[0] - exact)))
         rows.append(row)
         last = (sol, ratio)

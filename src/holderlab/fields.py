@@ -37,11 +37,20 @@ __all__ = [
     "read_field_csv",
     "modulus_of_continuity",
     "holder_quotient",
+    "c_alpha_norm_scales",
+    "c_alpha_norm",
     "estimate_holder_exponent",
+    "check_tangential",
 ]
 
 # axis and diagonal shift directions, in (x, y) node index steps
 _DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1))
+
+# largest separation scanned by the C^alpha norm estimate
+_NORM_H_MAX = 0.25
+
+# largest |u2| on a wall that still counts as tangential
+_WALL_TANGENCY_TOL = 1e-8
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -331,6 +340,32 @@ def holder_quotient(f: ChannelField, alpha: float, h_min: float, h_max: float) -
                           fit_r2=r2, h_min=h_min, h_max=h_max)
 
 
+def c_alpha_norm_scales(grid: ChannelGrid) -> tuple[float, float]:
+    """(h_min, h_max) of the C^alpha norm estimate on this grid.
+
+    h_min = 4 max(hx, hy) keeps the scanned pairs four cells apart;
+    the estimate needs h_min <= h_max = 0.25.
+    """
+    return 4.0 * max(grid.hx, grid.hy), _NORM_H_MAX
+
+
+def c_alpha_norm(vals: np.ndarray, grid: ChannelGrid, alpha: float) -> float:
+    """Estimated C^alpha norm of node values of shape (nx, ny) or
+    (components, nx, ny): max |vals| plus the largest dyadic seminorm of
+    a component (:func:`holder_quotient` over
+    :func:`c_alpha_norm_scales`).  alpha = 0 gives max |vals| alone, and
+    a zero field has norm 0 on any grid.
+    """
+    norm = float(np.max(np.abs(vals)))
+    if norm == 0.0 or alpha == 0.0:
+        return norm
+    h_min, h_max = c_alpha_norm_scales(grid)
+    return norm + max(
+        holder_quotient(ChannelField(grid, c), alpha, h_min, h_max).seminorm
+        for c in np.reshape(vals, (-1, grid.nx, grid.ny))
+    )
+
+
 def _oscillation_at_scale(f: ChannelField, h: float) -> float:
     """max |f(p)-f(q)| over node pairs displaced by exactly (h,0), (0,h),
     (h,h) or (h,-h).  h must be a node-aligned multiple of both grid steps."""
@@ -377,3 +412,14 @@ def estimate_holder_exponent(f: ChannelField, h_list) -> HolderEstimate:
     seminorm = max(w / h**alpha for h, w in zip(hs, oscs))
     return HolderEstimate(alpha=alpha, seminorm=seminorm, fitted_exponent=slope,
                           fit_r2=r2, h_min=hs[0], h_max=hs[-1])
+
+
+def check_tangential(u: ChannelField) -> None:
+    """Raise unless u is a 2-component velocity with u2 = 0 (to 1e-8) on both walls."""
+    if u.components != 2:
+        raise ValueError("expected a 2-component velocity field")
+    worst = max(np.max(np.abs(u.values[1, :, 0])), np.max(np.abs(u.values[1, :, -1])))
+    if worst > _WALL_TANGENCY_TOL:
+        raise ValueError(
+            f"velocity is not tangential at the walls (max |u2| = {worst:.3e})"
+        )

@@ -27,9 +27,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
 
-from .fields import ChannelField, ChannelGrid, holder_quotient
+from .fields import ChannelField, ChannelGrid, c_alpha_norm, check_tangential
+from .spectral import solve_poisson, spectral_dx
 
 __all__ = [
     "Mollifier",
@@ -46,8 +46,6 @@ __all__ = [
     "write_mollification_csv",
     "write_mollification_json",
 ]
-
-_WALL_TANGENCY_TOL = 1e-8
 
 
 def _bump_normalization() -> float:
@@ -127,20 +125,6 @@ class ExtendedStream:
         return (np.arange(-self.margin_rows, g.ny + self.margin_rows)) * g.hy
 
 
-def _x_wavenumbers(grid: ChannelGrid) -> np.ndarray:
-    return 2.0 * math.pi * np.fft.rfftfreq(grid.nx, d=grid.hx)
-
-
-def _spectral_dx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    """First x-derivative by FFT; the odd Nyquist mode is dropped."""
-    k = _x_wavenumbers(grid)
-    hat = np.fft.rfft(vals, axis=0)
-    hat *= 1j * k[:, None]
-    if grid.nx % 2 == 0:
-        hat[-1] = 0.0
-    return np.fft.irfft(hat, n=grid.nx, axis=0)
-
-
 def _ddy(vals: np.ndarray, hy: float) -> np.ndarray:
     """y-derivative: centered interior, second-order one-sided at walls."""
     out = np.empty_like(vals)
@@ -155,30 +139,6 @@ def _require_velocity(u: ChannelField) -> None:
         raise ValueError("expected a 2-component velocity field")
 
 
-def _check_tangential(u: ChannelField) -> None:
-    worst = max(np.max(np.abs(u.values[1, :, 0])), np.max(np.abs(u.values[1, :, -1])))
-    if worst > _WALL_TANGENCY_TOL:
-        raise ValueError(
-            f"velocity is not tangential at the walls (max |u2| = {worst:.3e})"
-        )
-
-
-def _solve_dirichlet_poisson(rhs: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    """Solve -lap(psi) = rhs with psi = 0 at both walls, periodic in x."""
-    ny, hy = grid.ny, grid.hy
-    k = _x_wavenumbers(grid)
-    rhs_hat = np.fft.rfft(rhs, axis=0)
-    psi_hat = np.zeros_like(rhs_hat)
-    n_int = ny - 2
-    band = np.zeros((3, n_int))
-    for m in range(rhs_hat.shape[0]):
-        band[0, 1:] = -1.0 / hy**2
-        band[1, :] = 2.0 / hy**2 + k[m] ** 2
-        band[2, :-1] = -1.0 / hy**2
-        psi_hat[m, 1:-1] = solve_banded((1, 1), band, rhs_hat[m, 1:-1])
-    return np.fft.irfft(psi_hat, n=grid.nx, axis=0)
-
-
 def stream_from_velocity(u: ChannelField) -> tuple[ChannelField, float]:
     """Recover (stream function, uniform flux) from a tangential velocity.
 
@@ -187,14 +147,11 @@ def stream_from_velocity(u: ChannelField) -> tuple[ChannelField, float]:
     is the trapezoid mean of u1 over the channel and captures the
     harmonic component that the stream cannot.
     """
-    _require_velocity(u)
-    _check_tangential(u)
+    check_tangential(u)
     grid = u.grid
     u1, u2 = u.values[0], u.values[1]
-    omega = _spectral_dx(u2, grid) - _ddy(u1, grid.hy)
-    psi = _solve_dirichlet_poisson(omega, grid)
-    psi[:, 0] = 0.0
-    psi[:, -1] = 0.0
+    omega = spectral_dx(u2, grid) - _ddy(u1, grid.hy)
+    psi = solve_poisson(omega, grid, "dirichlet")
     mean_flux = float(np.trapezoid(np.mean(u1, axis=0), dx=grid.hy))
     return ChannelField(grid, psi[None, :, :]), mean_flux
 
@@ -282,7 +239,7 @@ def velocity_from_stream(psi_eps: ChannelField, mean_flux: float) -> ChannelFiel
     grid = psi_eps.grid
     vals = psi_eps.values[0]
     u1 = _ddy(vals, grid.hy) + mean_flux
-    u2 = -_spectral_dx(vals, grid)
+    u2 = -spectral_dx(vals, grid)
     return ChannelField(grid, np.stack([u1, u2]))
 
 
@@ -290,7 +247,7 @@ def max_discrete_divergence(u: ChannelField) -> float:
     """max |D_x u1 + D_y u2| with the same stencils used to build u."""
     _require_velocity(u)
     grid = u.grid
-    div = _spectral_dx(u.values[0], grid) + _ddy(u.values[1], grid.hy)
+    div = spectral_dx(u.values[0], grid) + _ddy(u.values[1], grid.hy)
     return float(np.max(np.abs(div)))
 
 
@@ -320,20 +277,6 @@ class MollificationReport:
             raise ValueError("per-epsilon lists must align with epsilons")
 
 
-def _c_norm_estimate(vals2: np.ndarray, grid: ChannelGrid, beta: float) -> float:
-    """Estimated C^beta norm of a 2-component array: max + dyadic seminorm."""
-    norm = float(np.max(np.abs(vals2)))
-    if beta > 0.0:
-        h_max = 0.25
-        h_min = 4.0 * max(grid.hx, grid.hy)
-        semi = 0.0
-        for c in range(vals2.shape[0]):
-            est = holder_quotient(ChannelField(grid, vals2[c]), beta, h_min, h_max)
-            semi = max(semi, est.seminorm)
-        norm += semi
-    return norm
-
-
 def mollification_report(
     u: ChannelField,
     alpha: float,
@@ -349,7 +292,7 @@ def mollification_report(
     grid = u.grid
     psi, flux = stream_from_velocity(u)
     ext = odd_extend(psi, margin=margin)
-    u_norm = _c_norm_estimate(u.values, grid, alpha)
+    u_norm = c_alpha_norm(u.values, grid, alpha)
     errors = {float(b): [] for b in betas}
     ratios, walls, divs = [], [], []
     for eps in epsilons:
@@ -358,8 +301,8 @@ def mollification_report(
         u_eps = velocity_from_stream(psi_eps, flux)
         diff = u_eps.values - u.values
         for b in betas:
-            errors[float(b)].append(_c_norm_estimate(diff, grid, float(b)))
-        ratios.append(_c_norm_estimate(u_eps.values, grid, alpha) / u_norm)
+            errors[float(b)].append(c_alpha_norm(diff, grid, float(b)))
+        ratios.append(c_alpha_norm(u_eps.values, grid, alpha) / u_norm)
         walls.append(
             max(
                 float(np.max(np.abs(u_eps.values[1, :, 0]))),

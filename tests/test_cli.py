@@ -71,6 +71,18 @@ def test_pressure_solve_rejects_bad_config(tmp_path):
     assert run("pressure-solve", "--grids", "", "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("flow", ["single-mode", "weierstrass"])
+def test_pressure_solve_rejects_grids_too_coarse_for_the_norm(tmp_path, flow):
+    for grids in ("8", "16", "32,16"):
+        out = tmp_path / f"coarse-{grids}"
+        assert run("pressure-solve", "--flow", flow, "--grids", grids,
+                   "--out", str(out)) == 2
+        assert not out.exists()
+    out = tmp_path / "fine"
+    assert run("pressure-solve", "--flow", flow, "--grids", "32", "--out", str(out)) == 0
+    assert (out / "pressure_solve.csv").exists()
+
+
 def test_schauder_check_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from holderlab.fields import (
     ChannelField,
     ChannelGrid,
+    c_alpha_norm,
+    c_alpha_norm_scales,
+    check_tangential,
     estimate_holder_exponent,
     holder_quotient,
     make_uniform_grid,
@@ -183,3 +186,38 @@ def test_estimate_holder_exponent_errors():
     const = ChannelField(g, np.ones((16, 9)))
     with pytest.raises(ValueError, match="zero"):
         estimate_holder_exponent(const, [1.0, 0.5, 0.25, 0.125])
+
+
+def test_c_alpha_norm_is_max_plus_largest_component_seminorm():
+    grid = ChannelGrid(nx=64, ny=33)
+    X, Y = grid.meshgrid()
+    a = Y
+    b = 0.5 * np.sin(np.pi * X)
+    scales = c_alpha_norm_scales(grid)
+    assert scales == (4.0 * max(grid.hx, grid.hy), 0.25)
+    semi = {id(v): holder_quotient(ChannelField(grid, v), 0.5, *scales).seminorm
+            for v in (a, b)}
+    assert c_alpha_norm(a, grid, 0.5) == 1.0 + semi[id(a)]
+    assert c_alpha_norm(np.stack([a, b]), grid, 0.5) == 1.0 + max(semi.values())
+    assert c_alpha_norm(np.stack([a, b]), grid, 0.0) == 1.0  # beta = 0: max only
+
+
+def test_c_alpha_norm_of_zero_field_needs_no_scan():
+    coarse = ChannelGrid(nx=8, ny=5)  # 4*max(hx, hy) = 1 exceeds 0.25
+    assert c_alpha_norm(np.zeros((2, 8, 5)), coarse, 0.5) == 0.0
+    X, _ = coarse.meshgrid()
+    with pytest.raises(ValueError, match="h_max"):
+        c_alpha_norm(np.sin(np.pi * X), coarse, 0.5)
+
+
+def test_check_tangential():
+    grid = ChannelGrid(nx=8, ny=9)
+    u = np.zeros((2, 8, 9))
+    u[1, :, 1:-1] = 1.0
+    u[1, 3, 0] = 1e-9
+    check_tangential(ChannelField(grid, u))
+    with pytest.raises(ValueError, match="2-component"):
+        check_tangential(ChannelField(grid, u[0]))
+    u[1, 3, -1] = 1e-7
+    with pytest.raises(ValueError, match="tangential"):
+        check_tangential(ChannelField(grid, u))

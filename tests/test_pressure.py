@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from holderlab import acceptance
 from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.pressure import (
     CutoffProfile,
@@ -35,6 +36,16 @@ def single_mode_flow(grid):
 def single_mode_pressure(grid):
     X, Y = grid.meshgrid()
     return 0.25 * (np.cos(2.0 * np.pi * X) + np.cos(2.0 * np.pi * Y))
+
+
+def test_single_mode_samplers_match_meshgrid_forms_bitwise():
+    """The broadcast samplers of the gate equal the meshgrid forms above."""
+    for nx, ny in ((8, 3), (64, 65), (128, 33)):
+        grid = ChannelGrid(nx=nx, ny=ny)
+        assert np.array_equal(acceptance.single_mode_flow(grid).values,
+                              single_mode_flow(grid).values)
+        assert np.array_equal(acceptance.single_mode_pressure(grid),
+                              single_mode_pressure(grid))
 
 
 # ---------------------------------------------------------------- cutoff

@@ -193,6 +193,23 @@ def test_boundary_quotients_scale_linearly_in_theta():
     rep2 = dyadic_quotients_boundary(p, theta.scaled(2.0), 12)
     # doubling theta doubles every quotient exactly (power-of-two scaling)
     assert rep2.quotients == tuple(2.0 * q for q in rep1.quotients)
+    # column contents.  quotient_RR pairs each diagonal k1 = k2 = k with
+    # the mean; quotient_RNR pairs it with the doubled frequency 2^(k+1),
+    # which theta carries only for k = 0 (0.3 cos(2 pi x)); quotient_NR
+    # holds the off-diagonal couplings, here (k1, k2) = (0, 2) through
+    # cos(5 pi x) and (1, 2) through cos(2 pi x)
+    for i, n in enumerate(rep1.n_values):
+        y, scale = 2.0**-n, 2.0**n
+        s = [sinpi(2.0**k * y) for k in range(21)]
+        rr = 0.5 * sum(2.0 ** (-0.8 * k) * s[k] ** 2 for k in range(21))
+        rnr = 0.5 * 0.3 * s[0] ** 2
+        nr = 2.0 * (2.0**-0.8 * -0.1 * s[0] * s[2] + 2.0**-1.2 * 0.15 * s[1] * s[2])
+        assert rep1.components["quotient_RR"][i] == pytest.approx(scale * rr, rel=1e-12)
+        assert rep1.components["quotient_RNR"][i] == pytest.approx(scale * rnr, rel=1e-12)
+        assert rep1.components["quotient_NR"][i] == pytest.approx(
+            scale * nr, rel=1e-12, abs=1e-15)
+    assert all(q != 0.0 for q in rep1.components["quotient_RNR"])
+    assert rep1.components["quotient_NR"][-1] != 0.0
 
 
 def test_boundary_n_max_validation():
