@@ -4,18 +4,19 @@ Every verification in the package is exposed as a subcommand that
 writes plot-ready CSV series and a JSON manifest echoing the effective
 configuration, the package version, and every residual or verdict it
 computed.  Runs are deterministic: fixed iteration orders, seeds taken
-from the config, no timestamps in any output.
+from the config, no timestamps in any output.  Every file goes through
+:mod:`holderlab.formats`.
 
 Exit codes: 0 success, 1 invariant-suite failure, 2 invalid
 configuration.  Parameters may come from flags or from a JSON config
 file (``--config``) with identical keys; explicit flags win.  Unknown
-config keys are rejected.
+config keys are rejected.  Each subcommand and its keys are declared
+once, in :data:`COMMANDS`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -24,27 +25,19 @@ import numpy as np
 
 from . import __version__, acceptance
 from .fields import ChannelField, ChannelGrid, c_alpha_norm_scales, holder_quotient
-from .mollify import (
-    mollification_report,
-    write_mollification_csv,
-    write_mollification_json,
-)
+from .formats import write_csv, write_json
+from .mollify import mollification_report
 from .pressure import (
     CutoffProfile,
-    TrigPoly2D,
     dirichlet_schauder_check,
     estimate_ratio,
     random_symmetric_trig_field,
     solve_modified_pressure,
-    solve_schauder_problem,
-    write_pressure_diagnostics_json,
 )
 from .tracelab import (
     TestFunction,
     dyadic_quotients_boundary,
     dyadic_quotients_interior,
-    write_trace_report_csv,
-    write_trace_report_json,
 )
 from .weierstrass import (
     WeierstrassParams,
@@ -63,22 +56,15 @@ class ConfigError(Exception):
     """Raised for invalid or out-of-range configuration."""
 
 
-def _parse_int_list(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+def _parse_list(value, kind) -> list:
+    """A comma-separated string, or a JSON list, of ``kind`` values."""
     try:
-        return [int(tok) for tok in str(value).split(",") if tok != ""]
+        if isinstance(value, (list, tuple)):
+            return [kind(v) for v in value]
+        return [kind(tok) for tok in str(value).split(",") if tok != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {value!r}") from exc
-
-
-def _parse_float_list(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    try:
-        return [float(tok) for tok in str(value).split(",") if tok != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated number list, got {value!r}") from exc
+        raise ConfigError(
+            f"expected a comma-separated {kind.__name__} list, got {value!r}") from exc
 
 
 def _make_theta(spec: str) -> TestFunction:
@@ -89,7 +75,7 @@ def _make_theta(spec: str) -> TestFunction:
     raise ConfigError(f"unknown theta spec {spec!r} (use mean-one or mean-zero)")
 
 
-def _merge_config(args: argparse.Namespace, keys: dict) -> dict:
+def _merge_config(args: argparse.Namespace, options: dict) -> dict:
     """Effective parameters: explicit flag > config file > default."""
     file_params = {}
     if args.config is not None:
@@ -99,11 +85,11 @@ def _merge_config(args: argparse.Namespace, keys: dict) -> dict:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_params, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_params) - set(keys))
+        unknown = sorted(set(file_params) - set(options))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     params = {}
-    for key, default in keys.items():
+    for key, (default, _) in options.items():
         flag_value = getattr(args, key)
         if flag_value is not None:
             params[key] = flag_value
@@ -114,46 +100,23 @@ def _merge_config(args: argparse.Namespace, keys: dict) -> dict:
     return params
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_manifest(out_dir: Path, experiment: str, params: dict,
                     outputs: list, results: dict) -> Path:
-    path = out_dir / f"{experiment}_manifest.json"
-    payload = {
+    return write_json(out_dir / f"{experiment}_manifest.json", {
         "experiment": experiment,
         "version": __version__,
         "params": params,
-        "outputs": sorted(str(Path(o).name) for o in outputs),
+        "outputs": sorted(o.name for o in outputs),
         "results": results,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-    return path
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    })
 
 
 # ------------------------------------------------------------ subcommands
 
 
-def cmd_weierstrass_scan(args) -> int:
-    params = _merge_config(args, {
-        "alpha": 0.5, "n_terms_list": "4,8,12", "nx": 256, "ny": 257,
-    })
-    terms = _parse_int_list(params["n_terms_list"])
+def cmd_weierstrass_scan(params: dict, out: Path) -> int:
+    terms = _parse_list(params["n_terms_list"], int)
     grid = ChannelGrid(nx=int(params["nx"]), ny=int(params["ny"]))
-    out = _out_dir(args)
     rows = []
     for n_terms in terms:
         p = WeierstrassParams(alpha=float(params["alpha"]), n_terms=n_terms)
@@ -166,13 +129,9 @@ def cmd_weierstrass_scan(args) -> int:
             "divergence_residual": field_divergence_residual(u),
             "seminorm": est.seminorm,
         })
-    csv_path = out / "weierstrass_scan.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n_terms", "truncation_bound", "divergence_residual", "seminorm"])
-        for r in rows:
-            w.writerow([r["n_terms"], f"{r['truncation_bound']:.17g}",
-                        f"{r['divergence_residual']:.17g}", f"{r['seminorm']:.17g}"])
+    columns = ["n_terms", "truncation_bound", "divergence_residual", "seminorm"]
+    csv_path = write_csv(out / "weierstrass_scan.csv", columns,
+                         ([r[c] for c in columns] for r in rows))
     results = {
         "rows": rows,
         "closed_form_constant": holder_constant_bound(float(params["alpha"]))
@@ -182,11 +141,7 @@ def cmd_weierstrass_scan(args) -> int:
     return EXIT_OK
 
 
-def cmd_trace_blowup(args) -> int:
-    params = _merge_config(args, {
-        "alpha": 0.25, "n_max": 30, "n_terms": 40, "theta": "mean-one",
-        "mode": "boundary", "j": 1, "m": 1,
-    })
+def cmd_trace_blowup(params: dict, out: Path) -> int:
     theta = _make_theta(str(params["theta"]))
     p = WeierstrassParams(alpha=float(params["alpha"]), n_terms=int(params["n_terms"]))
     if params["mode"] == "boundary":
@@ -196,29 +151,36 @@ def cmd_trace_blowup(args) -> int:
             p, theta, int(params["j"]), int(params["m"]), int(params["n_max"]))
     else:
         raise ConfigError(f"unknown mode {params['mode']!r} (use boundary or interior)")
-    out = _out_dir(args)
-    csv_path = out / f"trace_blowup_{params['mode']}.csv"
-    json_path = out / f"trace_blowup_{params['mode']}.json"
-    write_trace_report_csv(report, csv_path)
-    write_trace_report_json(report, json_path)
+    name = f"trace_blowup_{params['mode']}"
+    csv_path = write_csv(
+        out / f"{name}.csv",
+        ["n", "y_n", "quotient_total", *report.components, "lower_bound"],
+        zip(report.n_values, report.y_values, report.quotients,
+            *report.components.values(), report.lower_bounds))
+    json_path = write_json(out / f"{name}.json", {
+        "alpha": report.alpha,
+        "n_min": report.n_values[0],
+        "n_max": report.n_values[-1],
+        "fitted_growth_exponent": report.fitted_growth_exponent,
+        "verdict": report.verdict,
+        "quotient_first": report.quotients[0],
+        "quotient_last": report.quotients[-1],
+    })
     results = {
         "verdict": report.verdict,
         "fitted_growth_exponent": report.fitted_growth_exponent,
         "first_quotient": report.quotients[0],
         "last_quotient": report.quotients[-1],
     }
-    _write_manifest(out, f"trace_blowup_{params['mode']}", params,
-                    [csv_path, json_path], results)
+    _write_manifest(out, name, params, [csv_path, json_path], results)
     print(f"verdict {report.verdict}, fitted exponent "
           f"{report.fitted_growth_exponent:.4f}")
     return EXIT_OK
 
 
-def cmd_geometry_verify(args) -> int:
-    params = _merge_config(args, {"patch": "all"})
+def cmd_geometry_verify(params: dict, out: Path) -> int:
     names = (("flat", "paraboloid", "saddle", "sinusoidal")
              if params["patch"] == "all" else (str(params["patch"]),))
-    out = _out_dir(args)
     per_patch = {}
     ok = True
     for name in names:
@@ -241,22 +203,27 @@ def cmd_geometry_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def cmd_mollify_report(args) -> int:
-    params = _merge_config(args, {
-        "alpha": 0.5, "n_terms": 20, "nx": 64, "ny": 129,
-        "epsilons": "0.1,0.05,0.025,0.0125",
-    })
-    eps = _parse_float_list(params["epsilons"])
+def cmd_mollify_report(params: dict, out: Path) -> int:
+    eps = _parse_list(params["epsilons"], float)
     grid = ChannelGrid(nx=int(params["nx"]), ny=int(params["ny"]))
     u = velocity_field(
         WeierstrassParams(alpha=float(params["alpha"]), n_terms=int(params["n_terms"])),
         grid)
     report = mollification_report(u, float(params["alpha"]), eps)
-    out = _out_dir(args)
-    csv_path = out / "mollify_report.csv"
-    json_path = out / "mollify_report.json"
-    write_mollification_csv(report, csv_path)
-    write_mollification_json(report, json_path)
+    betas = sorted(report.c_beta_errors)
+    csv_path = write_csv(
+        out / "mollify_report.csv", ["epsilon", "beta", "error", "ratio"],
+        ([e, b, report.c_beta_errors[b][i], report.norm_ratios[i]]
+         for i, e in enumerate(report.epsilons) for b in betas))
+    json_path = write_json(out / "mollify_report.json", {
+        "alpha": report.alpha,
+        "epsilons": list(report.epsilons),
+        "norm_ratio_max": max(report.norm_ratios),
+        "norm_ratio_min": min(report.norm_ratios),
+        "max_wall_residual": max(report.wall_residuals),
+        "max_divergence": max(report.max_divergences),
+        "betas": betas,
+    })
     walls_zero = all(r == 0.0 for r in report.wall_residuals)
     div_ok = max(report.max_divergences) <= 1e-12
     results = {
@@ -279,12 +246,8 @@ def _pressure_flow(flow: str, alpha: float, n_terms: int):
     raise ConfigError(f"unknown flow {flow!r} (use single-mode or weierstrass)")
 
 
-def cmd_pressure_solve(args) -> int:
-    params = _merge_config(args, {
-        "flow": "single-mode", "grids": "64,128,256", "alpha": 0.5,
-        "n_terms": 6, "delta": 0.2, "ratio_alpha": 0.5,
-    })
-    grids = _parse_int_list(params["grids"])
+def cmd_pressure_solve(params: dict, out: Path) -> int:
+    grids = _parse_list(params["grids"], int)
     if not grids:
         raise ConfigError("grids must name at least one resolution")
     channel_grids = [ChannelGrid(nx=int(n), ny=int(n) + 1) for n in grids]
@@ -297,10 +260,8 @@ def cmd_pressure_solve(args) -> int:
     flow = _pressure_flow(str(params["flow"]), float(params["alpha"]),
                           int(params["n_terms"]))
     phi = CutoffProfile(delta=float(params["delta"]))
-    out = _out_dir(args)
     rows = []
     invariants_ok = True
-    last = None
     for grid in channel_grids:
         u = flow(grid)
         sol = solve_modified_pressure(u, phi)
@@ -318,16 +279,16 @@ def cmd_pressure_solve(args) -> int:
             exact = acceptance.single_mode_pressure(grid)
             row["error"] = float(np.max(np.abs(sol.p.values[0] - exact)))
         rows.append(row)
-        last = (sol, ratio)
-    csv_path = out / "pressure_solve.csv"
-    columns = list(rows[0].keys())
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([r["nx"], *(f"{r[c]:.17g}" for c in columns[1:])])
-    json_path = out / "pressure_solve.json"
-    write_pressure_diagnostics_json(last[0], last[1], json_path)
+    csv_path = write_csv(out / "pressure_solve.csv", list(rows[0]),
+                         (list(r.values()) for r in rows))
+    # diagnostics of the last grid's solve
+    json_path = write_json(out / "pressure_solve.json", {
+        "pde_residual": sol.pde_residual,
+        "neumann_residual": sol.neumann_residual,
+        "mean_residual": sol.mean_constraint_residual,
+        "ratio": ratio,
+        "defect": sol.compatibility_defect,
+    })
     results = {"rows": rows, "invariants_ok": invariants_ok}
     if params["flow"] == "single-mode" and len(rows) >= 2:
         errs = [r["error"] for r in rows]
@@ -338,13 +299,9 @@ def cmd_pressure_solve(args) -> int:
     return EXIT_OK if invariants_ok else EXIT_INVARIANT
 
 
-def cmd_schauder_check(args) -> int:
-    params = _merge_config(args, {
-        "alpha": 0.5, "seeds": "0,1,2,3,4", "resolutions": "64,128,256,512",
-    })
-    seeds = _parse_int_list(params["seeds"])
-    resolutions = _parse_int_list(params["resolutions"])
-    out = _out_dir(args)
+def cmd_schauder_check(params: dict, out: Path) -> int:
+    seeds = _parse_list(params["seeds"], int)
+    resolutions = _parse_list(params["resolutions"], int)
     rows = []
     spreads = {}
     ok = True
@@ -358,25 +315,19 @@ def cmd_schauder_check(args) -> int:
                   if min(sweep.ratios) > 0.0 else float("inf"))
         spreads[str(seed)] = spread
         ok = ok and not sweep.zero_data and spread <= 2.0
-    csv_path = out / "schauder_check.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["resolution", "seed", "ratio"])
-        for res, seed, ratio in sorted(rows):
-            w.writerow([res, seed, f"{ratio:.17g}"])
+    csv_path = write_csv(out / "schauder_check.csv", ["resolution", "seed", "ratio"],
+                         sorted(rows))
     results = {"ratio_spreads": spreads, "all_bounded": ok}
     _write_manifest(out, "schauder_check", params, [csv_path], results)
     print(f"ratio spreads: {spreads}")
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def cmd_all_acceptance(args) -> int:
-    params = _merge_config(args, {})
-    out = _out_dir(args)
+def cmd_all_acceptance(params: dict, out: Path) -> int:
     results = acceptance.run_all()
     for res in results:
         print(acceptance.format_result_line(res))
-    payload = {
+    json_path = write_json(out / "all_acceptance.json", {
         str(res.number): {
             "name": res.name,
             "passed": res.passed,
@@ -384,11 +335,7 @@ def cmd_all_acceptance(args) -> int:
             "details": res.details,
         }
         for res in results
-    }
-    json_path = out / "all_acceptance.json"
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    })
     _write_manifest(out, "all_acceptance", params, [json_path],
                     {"all_passed": all(r.passed for r in results)})
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
@@ -396,11 +343,51 @@ def cmd_all_acceptance(args) -> int:
 
 # ------------------------------------------------------------ wiring
 
-
-def _add_common(sub):
-    sub.add_argument("--out", default=".", help="output directory for artifacts")
-    sub.add_argument("--config", default=None,
-                     help="JSON config file with the same keys as the flags")
+# command -> (function, help, {config key: (default, flag help)}); the flag of
+# a key is "--" plus the key with "_" turned to "-", typed like its default
+COMMANDS = {
+    "weierstrass-scan": (cmd_weierstrass_scan, "truncation/divergence/seminorm table over N", {
+        "alpha": (0.5, None),
+        "n_terms_list": ("4,8,12", None),
+        "nx": (256, None),
+        "ny": (257, None),
+    }),
+    "trace-blowup": (cmd_trace_blowup,
+                     "dyadic trace quotients at the wall or an interior height", {
+        "alpha": (0.25, None),
+        "n_max": (30, None),
+        "n_terms": (40, None),
+        "theta": ("mean-one", "mean-one or mean-zero"),
+        "mode": ("boundary", "boundary or interior"),
+        "j": (1, "interior height numerator"),
+        "m": (1, "interior height dyadic level"),
+    }),
+    "geometry-verify": (cmd_geometry_verify, "metric and Laplacian identity suite", {
+        "patch": ("all", "flat, paraboloid, saddle, sinusoidal, or all"),
+    }),
+    "mollify-report": (cmd_mollify_report,
+                       "divergence-free smoothing sweep on the lacunary flow", {
+        "alpha": (0.5, None),
+        "n_terms": (20, None),
+        "nx": (64, None),
+        "ny": (129, None),
+        "epsilons": ("0.1,0.05,0.025,0.0125", "comma-separated widths"),
+    }),
+    "pressure-solve": (cmd_pressure_solve, "modified-pressure solves over a grid sweep", {
+        "flow": ("single-mode", "single-mode or weierstrass"),
+        "grids": ("64,128,256", "comma-separated nx values"),
+        "alpha": (0.5, None),
+        "n_terms": (6, None),
+        "delta": (0.2, None),
+        "ratio_alpha": (0.5, None),
+    }),
+    "schauder-check": (cmd_schauder_check, "Dirichlet double-divergence ratio sweeps", {
+        "alpha": (0.5, None),
+        "seeds": ("0,1,2,3,4", None),
+        "resolutions": ("64,128,256,512", None),
+    }),
+    "all-acceptance": (cmd_all_acceptance, "run the full acceptance suite", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,75 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("weierstrass-scan",
-                        help="truncation/divergence/seminorm table over N")
-    _add_common(s)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--n-terms-list", dest="n_terms_list", default=None)
-    s.add_argument("--nx", type=int, default=None)
-    s.add_argument("--ny", type=int, default=None)
-    s.set_defaults(fn=cmd_weierstrass_scan)
-
-    s = subs.add_parser("trace-blowup",
-                        help="dyadic trace quotients at the wall or an interior height")
-    _add_common(s)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--n-max", dest="n_max", type=int, default=None)
-    s.add_argument("--n-terms", dest="n_terms", type=int, default=None)
-    s.add_argument("--theta", default=None, help="mean-one or mean-zero")
-    s.add_argument("--mode", default=None, help="boundary or interior")
-    s.add_argument("--j", type=int, default=None, help="interior height numerator")
-    s.add_argument("--m", type=int, default=None, help="interior height dyadic level")
-    s.set_defaults(fn=cmd_trace_blowup)
-
-    s = subs.add_parser("geometry-verify", help="metric and Laplacian identity suite")
-    _add_common(s)
-    s.add_argument("--patch", default=None,
-                   help="flat, paraboloid, saddle, sinusoidal, or all")
-    s.set_defaults(fn=cmd_geometry_verify)
-
-    s = subs.add_parser("mollify-report",
-                        help="divergence-free smoothing sweep on the lacunary flow")
-    _add_common(s)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--n-terms", dest="n_terms", type=int, default=None)
-    s.add_argument("--nx", type=int, default=None)
-    s.add_argument("--ny", type=int, default=None)
-    s.add_argument("--epsilons", default=None, help="comma-separated widths")
-    s.set_defaults(fn=cmd_mollify_report)
-
-    s = subs.add_parser("pressure-solve",
-                        help="modified-pressure solves over a grid sweep")
-    _add_common(s)
-    s.add_argument("--flow", default=None, help="single-mode or weierstrass")
-    s.add_argument("--grids", default=None, help="comma-separated nx values")
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--n-terms", dest="n_terms", type=int, default=None)
-    s.add_argument("--delta", type=float, default=None)
-    s.add_argument("--ratio-alpha", dest="ratio_alpha", type=float, default=None)
-    s.set_defaults(fn=cmd_pressure_solve)
-
-    s = subs.add_parser("schauder-check",
-                        help="Dirichlet double-divergence ratio sweeps")
-    _add_common(s)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--seeds", default=None)
-    s.add_argument("--resolutions", default=None)
-    s.set_defaults(fn=cmd_schauder_check)
-
-    s = subs.add_parser("all-acceptance", help="run the full acceptance suite")
-    _add_common(s)
-    s.set_defaults(fn=cmd_all_acceptance)
-
+    for command, (_, help_text, options) in COMMANDS.items():
+        s = subs.add_parser(command, help=help_text)
+        s.add_argument("--out", default=".", help="output directory for artifacts")
+        s.add_argument("--config", default=None,
+                       help="JSON config file with the same keys as the flags")
+        for key, (default, flag_help) in options.items():
+            s.add_argument("--" + key.replace("_", "-"), type=type(default),
+                           default=None, help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    fn, _, options = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        return fn(_merge_config(args, options), Path(args.out))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import write_csv
+
 __all__ = [
     "ChannelGrid",
     "ChannelField",
@@ -154,16 +156,14 @@ class ChannelField:
 
 
 def write_field_csv(field: ChannelField, path) -> None:
-    """Write a field as CSV rows x,y,component,value (y outer, x inner)."""
-    xs, ys = field.grid.x, field.grid.y
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "component", "value"])
-        for c in range(field.components):
-            vals = field.values[c]
-            for j in range(field.grid.ny):
-                for i in range(field.grid.nx):
-                    w.writerow([f"{xs[i]:.17g}", f"{ys[j]:.17g}", c, f"{vals[i, j]:.17g}"])
+    """Write a field as CSV rows x,y,component,value (component-major, y outer, x inner)."""
+    g, nc = field.grid, field.components
+    write_csv(path, ["x", "y", "component", "value"], zip(
+        np.tile(g.x, g.ny * nc).tolist(),
+        np.tile(np.repeat(g.y, g.nx), nc).tolist(),
+        np.repeat(np.arange(nc), g.nx * g.ny).tolist(),
+        field.values.transpose(0, 2, 1).ravel().tolist(),
+    ))
 
 
 def read_field_csv(path, x_period: float | None = None) -> ChannelField:

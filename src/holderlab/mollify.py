@@ -19,8 +19,6 @@ wall-normal velocity is bitwise zero at both walls.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -43,8 +41,6 @@ __all__ = [
     "velocity_from_stream",
     "max_discrete_divergence",
     "mollification_report",
-    "write_mollification_csv",
-    "write_mollification_json",
 ]
 
 
@@ -318,35 +314,3 @@ def mollification_report(
         wall_residuals=tuple(walls),
         max_divergences=tuple(divs),
     )
-
-
-def write_mollification_csv(report: MollificationReport, path) -> None:
-    """Rows epsilon,beta,error,ratio; epsilon outer, beta inner."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "beta", "error", "ratio"])
-        for i, eps in enumerate(report.epsilons):
-            for beta in sorted(report.c_beta_errors):
-                w.writerow(
-                    [
-                        f"{eps:.17g}",
-                        f"{beta:.17g}",
-                        f"{report.c_beta_errors[beta][i]:.17g}",
-                        f"{report.norm_ratios[i]:.17g}",
-                    ]
-                )
-
-
-def write_mollification_json(report: MollificationReport, path) -> None:
-    payload = {
-        "alpha": report.alpha,
-        "epsilons": list(report.epsilons),
-        "norm_ratio_max": max(report.norm_ratios),
-        "norm_ratio_min": min(report.norm_ratios),
-        "max_wall_residual": max(report.wall_residuals),
-        "max_divergence": max(report.max_divergences),
-        "betas": sorted(report.c_beta_errors),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

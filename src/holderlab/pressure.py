@@ -25,7 +25,6 @@ meaningful for fields whose normal derivative exists only weakly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,7 +55,6 @@ __all__ = [
     "weak_normal_trace",
     "random_symmetric_trig_field",
     "dirichlet_schauder_check",
-    "write_pressure_diagnostics_json",
 ]
 
 
@@ -362,16 +360,3 @@ def dirichlet_schauder_check(
         ratios=tuple(ratios),
         zero_data=zero_data,
     )
-
-
-def write_pressure_diagnostics_json(sol: PressureSolution, ratio: float, path) -> None:
-    payload = {
-        "pde_residual": sol.pde_residual,
-        "neumann_residual": sol.neumann_residual,
-        "mean_residual": sol.mean_constraint_residual,
-        "ratio": ratio,
-        "defect": sol.compatibility_defect,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

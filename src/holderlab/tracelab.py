@@ -21,8 +21,6 @@ it with fixed thresholds.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -45,18 +43,11 @@ __all__ = [
     "interior_lower_bound",
     "classify_blowup",
     "fit_growth_exponent",
-    "write_trace_report_csv",
-    "write_trace_report_json",
 ]
 
 VERDICT_CONVERGES = "CONVERGES_TO_ZERO"
 VERDICT_BOUNDED = "BOUNDED_NONZERO"
 VERDICT_DIVERGES = "DIVERGES"
-
-# component column names used in report CSVs: off-diagonal couplings,
-# diagonal couplings against doubled-frequency modes, and diagonal
-# couplings against the mean
-_COMPONENT_COLUMNS = ("quotient_NR", "quotient_RNR", "quotient_RR")
 
 
 @dataclass(frozen=True)
@@ -408,36 +399,3 @@ def dyadic_quotients_interior(
             "quotient_RR": tuple(s_tail),
         },
     )
-
-
-def write_trace_report_csv(report: TraceReport, path) -> None:
-    """Write the quotient table with the fixed column schema."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "y_n", "quotient_total", *_COMPONENT_COLUMNS, "lower_bound"])
-        for i, n in enumerate(report.n_values):
-            w.writerow(
-                [
-                    n,
-                    f"{report.y_values[i]:.17g}",
-                    f"{report.quotients[i]:.17g}",
-                    *(f"{report.components[c][i]:.17g}" for c in _COMPONENT_COLUMNS),
-                    f"{report.lower_bounds[i]:.17g}",
-                ]
-            )
-
-
-def write_trace_report_json(report: TraceReport, path) -> None:
-    """Write the report summary (verdict, fit, ranges) as stable JSON."""
-    payload = {
-        "alpha": report.alpha,
-        "n_min": report.n_values[0],
-        "n_max": report.n_values[-1],
-        "fitted_growth_exponent": report.fitted_growth_exponent,
-        "verdict": report.verdict,
-        "quotient_first": report.quotients[0],
-        "quotient_last": report.quotients[-1],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -6,6 +6,7 @@ library code is checked against an independent route.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -59,6 +60,19 @@ def brute_force_modulus(f: ChannelField, h: float) -> float:
             if d.size:
                 best = max(best, float(np.max(np.abs(d))))
     return best
+
+
+def field_csv_by_loops(field: ChannelField, path) -> None:
+    """Field dump written one cell at a time: component, then y, then x."""
+    xs, ys = field.grid.x, field.grid.y
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "component", "value"])
+        for c in range(field.components):
+            vals = field.values[c]
+            for j in range(field.grid.ny):
+                for i in range(field.grid.nx):
+                    w.writerow([f"{xs[i]:.17g}", f"{ys[j]:.17g}", c, f"{vals[i, j]:.17g}"])
 
 
 def fit_slope(xs, ys) -> float:

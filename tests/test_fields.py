@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from holderlab.fields import (
     write_field_csv,
 )
 
-from conftest import brute_force_modulus, brute_force_seminorm
+from conftest import brute_force_modulus, brute_force_seminorm, field_csv_by_loops
 
 
 def _linear_in_y(nx=256, ny=129):
@@ -78,6 +80,32 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, f.values)
     assert back.grid.nx == g.nx and back.grid.ny == g.ny
     assert abs(back.grid.x_period - g.x_period) < 1e-15
+
+
+_CELL = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                  st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.sampled_from([4, 8]),
+    ny=st.integers(3, 6),
+    x_period=st.sampled_from([2.0, 1.0, 0.7]),
+    y_extent=st.sampled_from([1.0, 0.3]),
+    components=st.integers(1, 2),
+    data=st.data(),
+)
+def test_field_csv_matches_the_cell_by_cell_writer(nx, ny, x_period, y_extent,
+                                                   components, data):
+    g = make_uniform_grid(nx, ny, x_period, y_extent)
+    cells = data.draw(st.lists(_CELL, min_size=components * nx * ny,
+                               max_size=components * nx * ny))
+    f = ChannelField(g, np.array(cells).reshape(components, nx, ny))
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
+        write_field_csv(f, fast)
+        field_csv_by_loops(f, slow)
+        assert fast.read_bytes() == slow.read_bytes()
 
 
 def test_modulus_linear_field_exact():

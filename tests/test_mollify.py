@@ -14,8 +14,6 @@ from holderlab.mollify import (
     standard_bump_profile,
     stream_from_velocity,
     velocity_from_stream,
-    write_mollification_csv,
-    write_mollification_json,
 )
 from holderlab.weierstrass import WeierstrassParams, stream_field, velocity_field
 
@@ -206,22 +204,3 @@ def test_report_needs_three_epsilons():
     grid = make_uniform_grid(32, 65)
     with pytest.raises(ValueError, match="3 epsilons"):
         mollification_report(constant_flow(grid), alpha=0.5, epsilons=[0.1, 0.05])
-
-
-def test_report_serialization(tmp_path):
-    grid = make_uniform_grid(32, 65)
-    rep = mollification_report(
-        constant_flow(grid), alpha=0.5, epsilons=[0.1, 0.05, 0.025], betas=[0.0, 0.25]
-    )
-    csv_path = tmp_path / "report.csv"
-    write_mollification_csv(rep, csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "epsilon,beta,error,ratio"
-    assert len(lines) == 1 + 3 * 2
-    json_path = tmp_path / "report.json"
-    write_mollification_json(rep, json_path)
-    import json
-
-    payload = json.loads(json_path.read_text())
-    assert payload["epsilons"] == [0.1, 0.05, 0.025]
-    assert payload["max_wall_residual"] == 0.0

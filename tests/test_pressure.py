@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from holderlab.pressure import (
     solve_modified_pressure,
     solve_schauder_problem,
     weak_normal_trace,
-    write_pressure_diagnostics_json,
 )
 from holderlab.tracelab import TestFunction
 from holderlab.weierstrass import WeierstrassParams, velocity_field
@@ -338,16 +336,3 @@ def test_random_field_is_reproducible():
     c = random_symmetric_trig_field(8)
     assert [p.terms for p in a] == [p.terms for p in b]
     assert [p.terms for p in a] != [p.terms for p in c]
-
-
-def test_diagnostics_json_schema(tmp_path):
-    grid = ChannelGrid(nx=32, ny=33)
-    u = single_mode_flow(grid)
-    sol = solve_modified_pressure(u, PHI)
-    out = tmp_path / "diag.json"
-    write_pressure_diagnostics_json(sol, estimate_ratio(sol, u, 0.5), out)
-    payload = json.loads(out.read_text())
-    assert set(payload) == {
-        "pde_residual", "neumann_residual", "mean_residual", "ratio", "defect",
-    }
-    assert payload["mean_residual"] < 1e-12

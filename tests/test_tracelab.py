@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -23,8 +21,6 @@ from holderlab.tracelab import (
     eval_trace,
     interior_lower_bound,
     resonant_lower_bound,
-    write_trace_report_csv,
-    write_trace_report_json,
 )
 from holderlab.trig import sinpi
 from holderlab.weierstrass import WeierstrassParams, eval_velocity
@@ -319,26 +315,3 @@ def test_interior_validation():
         dyadic_quotients_interior(p, theta, 4, 2, 10)
     with pytest.raises(ValueError):
         dyadic_quotients_interior(p, theta, 1, 3, 2)
-
-
-def test_report_csv_and_json_round_trip(tmp_path):
-    rep = dyadic_quotients_boundary(
-        WeierstrassParams(0.4, 20), TestFunction.mean_one(), 12
-    )
-    csv_path = tmp_path / "report.csv"
-    json_path = tmp_path / "report.json"
-    write_trace_report_csv(rep, csv_path)
-    write_trace_report_json(rep, json_path)
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == [
-        "n", "y_n", "quotient_total", "quotient_NR", "quotient_RNR",
-        "quotient_RR", "lower_bound",
-    ]
-    assert len(rows) == 13
-    assert float(rows[1][2]) == rep.quotients[0]
-    assert float(rows[12][5]) == rep.components["quotient_RR"][11]
-    summary = json.loads(json_path.read_text())
-    assert summary["verdict"] == rep.verdict
-    assert summary["n_max"] == 12
-    assert summary["fitted_growth_exponent"] == rep.fitted_growth_exponent
