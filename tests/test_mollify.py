@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from holderlab import cli
 from holderlab.fields import ChannelField, make_uniform_grid
 from holderlab.mollify import (
     make_mollifier,
@@ -204,3 +206,15 @@ def test_report_needs_three_epsilons():
     grid = make_uniform_grid(32, 65)
     with pytest.raises(ValueError, match="3 epsilons"):
         mollification_report(constant_flow(grid), alpha=0.5, epsilons=[0.1, 0.05])
+
+
+def test_report_serialization(tmp_path):
+    assert cli.main(["mollify-report", "--alpha", "0.5", "--nx", "32", "--ny", "65",
+                     "--n-terms", "6", "--epsilons", "0.1,0.05,0.025",
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "mollify_report.csv").read_text().splitlines()
+    assert lines[0] == "epsilon,beta,error,ratio"
+    assert len(lines) == 1 + 3 * 2  # three widths, betas 0 and 0.25
+    payload = json.loads((tmp_path / "mollify_report.json").read_text())
+    assert payload["epsilons"] == [0.1, 0.05, 0.025]
+    assert payload["max_wall_residual"] == 0.0

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from holderlab import acceptance
+from holderlab import acceptance, cli
 from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.pressure import (
     CutoffProfile,
@@ -336,3 +337,13 @@ def test_random_field_is_reproducible():
     c = random_symmetric_trig_field(8)
     assert [p.terms for p in a] == [p.terms for p in b]
     assert [p.terms for p in a] != [p.terms for p in c]
+
+
+def test_diagnostics_json_schema(tmp_path):
+    assert cli.main(["pressure-solve", "--flow", "single-mode", "--grids", "32",
+                     "--delta", "0.2", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "pressure_solve.json").read_text())
+    assert set(payload) == {
+        "pde_residual", "neumann_residual", "mean_residual", "ratio", "defect",
+    }
+    assert payload["mean_residual"] < 1e-12
