@@ -15,7 +15,6 @@ from .fields import (
     ChannelGrid,
     estimate_holder_exponent,
     holder_quotient,
-    make_uniform_grid,
     modulus_of_continuity,
 )
 from .geometry import (
@@ -62,7 +61,6 @@ __all__ = [
     "holder_quotient",
     "make_mollifier",
     "make_surface_patch",
-    "make_uniform_grid",
     "modulus_of_continuity",
     "mollification_report",
     "recover_raw_pressure",

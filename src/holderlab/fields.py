@@ -6,10 +6,14 @@ inclusive of both walls.  Fields are node samples; there is no
 interpolation machinery on purpose — analytic fields are resampled when
 the resolution changes.
 
-Hölder diagnostics work on node pairs along the two axes and the two
-diagonals.  ``modulus_of_continuity`` scans every admissible shift up
-to a separation h; ``holder_quotient`` restricts to dyadic separations
-{h_max, h_max/2, ...} so the cost stays O(nx*ny*log) per call.
+Every Hölder diagnostic is one shift scan: given a list of node shifts
+(di, dj), it returns max |f(p) - f(q)| over the pairs p - q = (di, dj)
+for each shift and each component, with x periodic.  The estimators
+differ only in the shifts they ask for.  ``modulus_of_continuity`` asks
+for every shift along the two axes and the two diagonals up to a
+separation h; ``holder_quotient`` and ``c_alpha_norm`` ask for the
+dyadic separations {h_max, h_max/2, ...} along the same directions, so
+the cost stays O(nx*ny*log) per call.
 
 ``estimate_holder_exponent`` regresses per-scale oscillations taken at
 node displacements of exactly (h,0), (0,h), (h,h) and (h,-h).  Exact
@@ -34,7 +38,6 @@ __all__ = [
     "ChannelGrid",
     "ChannelField",
     "HolderEstimate",
-    "make_uniform_grid",
     "write_field_csv",
     "read_field_csv",
     "modulus_of_continuity",
@@ -106,11 +109,6 @@ class ChannelGrid:
         if not (0 <= j < self.ny) or abs(self.y[j] - y) > 1e-12 * max(1.0, self.y_extent):
             raise ValueError(f"y={y} is not a grid line of this grid")
         return j
-
-
-def make_uniform_grid(nx: int, ny: int, x_period: float = 2.0, y_extent: float = 1.0) -> ChannelGrid:
-    """Construct a validated channel grid."""
-    return ChannelGrid(nx=nx, ny=ny, x_period=x_period, y_extent=y_extent)
 
 
 @dataclass(frozen=True)
@@ -226,26 +224,39 @@ def _scalar_values(f: ChannelField) -> np.ndarray:
     return f.values[0]
 
 
-def _max_abs_shift_diff(vals: np.ndarray, di: int, dj: int) -> float:
-    """max |f(p) - f(q)| over pairs p - q = (di, dj) nodes (periodic x)."""
-    shifted = np.roll(vals, -di, axis=0) if di else vals
-    if dj == 0:
-        d = shifted - vals
-    elif dj > 0:
-        d = shifted[:, dj:] - vals[:, :-dj]
-    else:
-        d = shifted[:, :dj] - vals[:, -dj:]
-    return float(np.max(np.abs(d))) if d.size else 0.0
+def _shift_maxima(vals: np.ndarray, shifts) -> np.ndarray:
+    """max |f(p) - f(q)| over node pairs p - q = (di, dj), 0 <= di < nx, per
+    shift and per component of a (..., nx, ny) stack: shape (len(shifts), ...).
+    x is periodic: rows [di:] pair with [:nx-di], the wrapped rows [:di] with
+    [nx-di:].  A shift with no y-overlap gives 0; a non-finite maximum raises
+    ValueError, so NaN/inf samples never pass a scan unnoticed.
+    """
+    nx, ny = vals.shape[-2:]
+    out = np.zeros((len(shifts),) + vals.shape[:-2])
+    for k, (di, dj) in enumerate(shifts):
+        m = ny - abs(dj)
+        if m <= 0:
+            continue
+        p = vals[..., max(dj, 0):max(dj, 0) + m]
+        q = vals[..., max(-dj, 0):max(-dj, 0) + m]
+        d = p[..., di:, :] - q[..., :nx - di, :]
+        best = np.abs(d, out=d).max(axis=(-2, -1))
+        if di:
+            d = p[..., :di, :] - q[..., nx - di:, :]
+            best = np.maximum(best, np.abs(d, out=d).max(axis=(-2, -1)))
+        out[k] = best
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite node values: a Hölder scan needs finite samples")
+    return out
 
 
-def _shift_cap(grid: ChannelGrid, di: int, dj: int) -> int:
-    """Largest useful shift count: half period in x, full height in y."""
-    caps = []
-    if di:
-        caps.append(grid.nx // 2)
-    if dj:
-        caps.append(grid.ny - 1)
-    return min(caps)
+def _directions(grid: ChannelGrid):
+    """(di, dj, step, cap) per scan direction: the unit node shift, its
+    length, and the largest useful shift count (half a period in x, the
+    full height in y)."""
+    for di, dj in _DIRECTIONS:
+        caps = ([grid.nx // 2] if di else []) + ([grid.ny - 1] if dj else [])
+        yield di, dj, math.hypot(di * grid.hx, dj * grid.hy), min(caps)
 
 
 def modulus_of_continuity(f: ChannelField, h: float) -> float:
@@ -258,13 +269,9 @@ def modulus_of_continuity(f: ChannelField, h: float) -> float:
     vals = _scalar_values(f)
     if h < max(grid.hx, grid.hy) * (1.0 - 1e-12):
         raise ValueError(f"h={h} is below the grid resolution {max(grid.hx, grid.hy)}")
-    best = 0.0
-    for di, dj in _DIRECTIONS:
-        step = math.hypot(di * grid.hx, dj * grid.hy)
-        smax = min(int(h / step + 1e-12), _shift_cap(grid, di, dj))
-        for s in range(1, smax + 1):
-            best = max(best, _max_abs_shift_diff(vals, s * di, s * dj))
-    return best
+    shifts = [(s * di, s * dj) for di, dj, step, cap in _directions(grid)
+              for s in range(1, min(int(h / step + 1e-12), cap) + 1)]
+    return float(_shift_maxima(vals, shifts).max(initial=0.0))
 
 
 def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -284,15 +291,12 @@ def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return slope, max(0.0, 1.0 - resid / syy)
 
 
-def holder_quotient(f: ChannelField, alpha: float, h_min: float, h_max: float) -> HolderEstimate:
-    """Hölder seminorm and fitted exponent over dyadic pair separations.
-
-    Scans separations h_max, h_max/2, ... down to h_min along the axis
-    and diagonal directions.  The reported seminorm is a lower bound for
-    the true sup over the continuum (only sampled pairs enter).
+def _dyadic_pairs(grid: ChannelGrid, alpha: float, h_min: float, h_max: float):
+    """The dyadic scan as (h, (di, dj), r**alpha): for each scale h = h_max,
+    h_max/2, ... >= h_min and direction, the node shift nearest to h if its
+    length r lies in [h_min, h_max].  Raises on a bad alpha or window, or
+    on an empty pair set.
     """
-    grid = f.grid
-    vals = _scalar_values(f)
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     res = max(grid.hx, grid.hy)
@@ -300,35 +304,36 @@ def holder_quotient(f: ChannelField, alpha: float, h_min: float, h_max: float) -
         raise ValueError(f"h_min={h_min} is below the grid resolution {res}")
     if h_max < h_min:
         raise ValueError("h_max must be >= h_min")
-    scales = []
+    pairs = []
     h = h_max
     while h >= h_min * (1.0 - 1e-12):
-        scales.append(h)
-        h /= 2.0
-    seminorm = 0.0
-    fit_h, fit_w = [], []
-    for h in scales:
-        scale_max = 0.0
-        found = False
-        for di, dj in _DIRECTIONS:
-            step = math.hypot(di * grid.hx, dj * grid.hy)
-            s = min(int(round(h / step)), _shift_cap(grid, di, dj))
-            if s < 1:
-                continue
+        for di, dj, step, cap in _directions(grid):
+            s = min(int(round(h / step)), cap)
             r = s * step
-            if r > h_max * (1.0 + 1e-9) or r < h_min * (1.0 - 1e-9):
-                continue
-            found = True
-            diff = _max_abs_shift_diff(vals, s * di, s * dj)
-            seminorm = max(seminorm, diff / r**alpha)
-            scale_max = max(scale_max, diff)
-        if found:
-            fit_h.append(h)
-            fit_w.append(scale_max)
-    if not fit_h:
+            if s >= 1 and h_min * (1.0 - 1e-9) <= r <= h_max * (1.0 + 1e-9):
+                pairs.append((h, (s * di, s * dj), r**alpha))
+        h /= 2.0
+    if not pairs:
         raise ValueError("empty pair set: no admissible separations in [h_min, h_max]")
+    return pairs
+
+
+def holder_quotient(f: ChannelField, alpha: float, h_min: float, h_max: float) -> HolderEstimate:
+    """Hölder seminorm and fitted exponent over dyadic pair separations.
+
+    Scans separations h_max, h_max/2, ... down to h_min along the axis
+    and diagonal directions.  The reported seminorm is a lower bound for
+    the true sup over the continuum (only sampled pairs enter).
+    """
+    vals = _scalar_values(f)
+    pairs = _dyadic_pairs(f.grid, alpha, h_min, h_max)
+    diffs = _shift_maxima(vals, [shift for _, shift, _ in pairs]).tolist()
+    seminorm, scale_max = 0.0, {}
+    for (h, _, r_alpha), diff in zip(pairs, diffs):
+        seminorm = max(seminorm, diff / r_alpha)
+        scale_max[h] = max(scale_max.get(h, 0.0), diff)
     fitted, r2 = math.nan, math.nan
-    positive = [(h, w) for h, w in zip(fit_h, fit_w) if w > 0.0]
+    positive = [(h, w) for h, w in scale_max.items() if w > 0.0]
     if len(positive) >= 2:
         logs_h = np.log([h for h, _ in positive])
         logs_w = np.log([w for _, w in positive])
@@ -352,37 +357,20 @@ def c_alpha_norm_scales(grid: ChannelGrid) -> tuple[float, float]:
 def c_alpha_norm(vals: np.ndarray, grid: ChannelGrid, alpha: float) -> float:
     """Estimated C^alpha norm of node values of shape (nx, ny) or
     (components, nx, ny): max |vals| plus the largest dyadic seminorm of
-    a component (:func:`holder_quotient` over
+    a component (the :func:`holder_quotient` scan over
     :func:`c_alpha_norm_scales`).  alpha = 0 gives max |vals| alone, and
-    a zero field has norm 0 on any grid.
+    a zero field has norm 0 on any grid.  Raises on non-finite values.
     """
     norm = float(np.max(np.abs(vals)))
+    if not math.isfinite(norm):
+        raise ValueError("non-finite node values: the C^alpha norm needs finite samples")
     if norm == 0.0 or alpha == 0.0:
         return norm
-    h_min, h_max = c_alpha_norm_scales(grid)
-    return norm + max(
-        holder_quotient(ChannelField(grid, c), alpha, h_min, h_max).seminorm
-        for c in np.reshape(vals, (-1, grid.nx, grid.ny))
-    )
-
-
-def _oscillation_at_scale(f: ChannelField, h: float) -> float:
-    """max |f(p)-f(q)| over node pairs displaced by exactly (h,0), (0,h),
-    (h,h) or (h,-h).  h must be a node-aligned multiple of both grid steps."""
-    grid = f.grid
-    vals = _scalar_values(f)
-    sx = int(round(h / grid.hx))
-    sy = int(round(h / grid.hy))
-    if abs(sx * grid.hx - h) > 1e-9 * h or abs(sy * grid.hy - h) > 1e-9 * h:
-        raise ValueError(f"h={h} is not an integer multiple of both grid steps")
-    if sx < 1 or sy < 1:
-        raise ValueError(f"h={h} is below the grid resolution {max(grid.hx, grid.hy)}")
-    if sx > grid.nx // 2 or sy > grid.ny - 1:
-        raise ValueError(f"h={h} exceeds the half-period or channel height")
-    best = 0.0
-    for di, dj in ((sx, 0), (0, sy), (sx, sy), (sx, -sy)):
-        best = max(best, _max_abs_shift_diff(vals, di, dj))
-    return best
+    pairs = _dyadic_pairs(grid, alpha, *c_alpha_norm_scales(grid))
+    diffs = _shift_maxima(np.reshape(vals, (-1, grid.nx, grid.ny)),
+                          [shift for _, shift, _ in pairs])
+    return norm + max(diff / r_alpha for (_, _, r_alpha), row in zip(pairs, diffs.tolist())
+                      for diff in row)
 
 
 def estimate_holder_exponent(f: ChannelField, h_list) -> HolderEstimate:
@@ -400,7 +388,20 @@ def estimate_holder_exponent(f: ChannelField, h_list) -> HolderEstimate:
     for a, b in zip(hs, hs[1:]):
         if abs(b / a - 2.0) > 1e-9:
             raise ValueError("h_list must be consecutive dyadic scales")
-    oscs = [_oscillation_at_scale(f, h) for h in hs]
+    grid = f.grid
+    vals = _scalar_values(f)
+    shifts = []
+    for h in hs:
+        sx = int(round(h / grid.hx))
+        sy = int(round(h / grid.hy))
+        if abs(sx * grid.hx - h) > 1e-9 * h or abs(sy * grid.hy - h) > 1e-9 * h:
+            raise ValueError(f"h={h} is not an integer multiple of both grid steps")
+        if sx < 1 or sy < 1:
+            raise ValueError(f"h={h} is below the grid resolution {max(grid.hx, grid.hy)}")
+        if sx > grid.nx // 2 or sy > grid.ny - 1:
+            raise ValueError(f"h={h} exceeds the half-period or channel height")
+        shifts += [(sx, 0), (0, sy), (sx, sy), (sx, -sy)]
+    oscs = _shift_maxima(vals, shifts).reshape(len(hs), 4).max(axis=1).tolist()
     if any(w <= 0.0 for w in oscs):
         raise ValueError("degenerate regression: zero oscillation (constant field?)")
     logs_w = np.log(oscs)

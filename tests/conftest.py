@@ -15,6 +15,19 @@ from scipy.linalg import solve_banded
 from holderlab.fields import ChannelField, ChannelGrid
 
 
+def roll_shift_max(vals: np.ndarray, di: int, dj: int) -> float:
+    """max |f(p) - f(q)| over pairs p - q = (di, dj) of one (nx, ny) array,
+    through a full np.roll copy (periodic x); 0 when no pair exists."""
+    shifted = np.roll(vals, -di, axis=0) if di else vals
+    if dj == 0:
+        d = shifted - vals
+    elif dj > 0:
+        d = shifted[:, dj:] - vals[:, :-dj]
+    else:
+        d = shifted[:, :dj] - vals[:, -dj:]
+    return float(np.max(np.abs(d))) if d.size else 0.0
+
+
 def brute_force_seminorm(f: ChannelField, alpha: float, h_min: float, h_max: float) -> float:
     """Exhaustive scan over *all* node shift vectors with separation in range."""
     g = f.grid
@@ -27,15 +40,7 @@ def brute_force_seminorm(f: ChannelField, alpha: float, h_min: float, h_max: flo
             r = math.hypot(di * g.hx, dj * g.hy)
             if r > h_max * (1 + 1e-12) or r < h_min * (1 - 1e-12):
                 continue
-            shifted = np.roll(vals, -di, axis=0)
-            if dj == 0:
-                d = shifted - vals
-            elif dj > 0:
-                d = shifted[:, dj:] - vals[:, :-dj]
-            else:
-                d = shifted[:, :dj] - vals[:, -dj:]
-            if d.size:
-                best = max(best, float(np.max(np.abs(d))) / r**alpha)
+            best = max(best, roll_shift_max(vals, di, dj) / r**alpha)
     return best
 
 
@@ -50,15 +55,7 @@ def brute_force_modulus(f: ChannelField, h: float) -> float:
                 continue
             if math.hypot(di * g.hx, dj * g.hy) > h * (1 + 1e-12):
                 continue
-            shifted = np.roll(vals, -di, axis=0)
-            if dj == 0:
-                d = shifted - vals
-            elif dj > 0:
-                d = shifted[:, dj:] - vals[:, :-dj]
-            else:
-                d = shifted[:, :dj] - vals[:, -dj:]
-            if d.size:
-                best = max(best, float(np.max(np.abs(d))))
+            best = max(best, roll_shift_max(vals, di, dj))
     return best
 
 

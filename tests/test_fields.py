@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holderlab import fields
 from holderlab.fields import (
     ChannelField,
     ChannelGrid,
@@ -19,34 +20,33 @@ from holderlab.fields import (
     check_tangential,
     estimate_holder_exponent,
     holder_quotient,
-    make_uniform_grid,
     modulus_of_continuity,
     read_field_csv,
     write_field_csv,
 )
 
-from conftest import brute_force_modulus, brute_force_seminorm, field_csv_by_loops
+from conftest import brute_force_modulus, brute_force_seminorm, field_csv_by_loops, roll_shift_max
 
 
 def _linear_in_y(nx=256, ny=129):
     # hx = hy = 1/128 so the resolution guard admits fine separations
-    grid = make_uniform_grid(nx, ny)
+    grid = ChannelGrid(nx, ny)
     return ChannelField.from_function(grid, lambda X, Y: Y)
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        make_uniform_grid(12, 17)  # nx not a power of two
+        ChannelGrid(12, 17)  # nx not a power of two
     with pytest.raises(ValueError):
-        make_uniform_grid(2, 17)  # nx too small
+        ChannelGrid(2, 17)  # nx too small
     with pytest.raises(ValueError):
-        make_uniform_grid(16, 2)  # ny too small
+        ChannelGrid(16, 2)  # ny too small
     with pytest.raises(ValueError):
         ChannelGrid(nx=16, ny=5, x_period=-1.0)
 
 
 def test_grid_geometry():
-    g = make_uniform_grid(8, 5, x_period=2.0, y_extent=1.0)
+    g = ChannelGrid(8, 5, x_period=2.0, y_extent=1.0)
     assert g.hx == 0.25
     assert g.hy == 0.25
     assert g.y[0] == 0.0 and g.y[-1] == 1.0
@@ -58,7 +58,7 @@ def test_grid_geometry():
 
 
 def test_field_shape_checks_and_immutability():
-    g = make_uniform_grid(8, 5)
+    g = ChannelGrid(8, 5)
     with pytest.raises(ValueError):
         ChannelField(g, np.zeros((3, 8, 5)))
     with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ def test_field_shape_checks_and_immutability():
 
 
 def test_csv_round_trip(tmp_path):
-    g = make_uniform_grid(8, 5)
+    g = ChannelGrid(8, 5)
     rng = np.random.default_rng(7)
     f = ChannelField(g, rng.standard_normal((2, 8, 5)))
     path = tmp_path / "field.csv"
@@ -97,7 +97,7 @@ _CELL = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
 )
 def test_field_csv_matches_the_cell_by_cell_writer(nx, ny, x_period, y_extent,
                                                    components, data):
-    g = make_uniform_grid(nx, ny, x_period, y_extent)
+    g = ChannelGrid(nx, ny, x_period, y_extent)
     cells = data.draw(st.lists(_CELL, min_size=components * nx * ny,
                                max_size=components * nx * ny))
     f = ChannelField(g, np.array(cells).reshape(components, nx, ny))
@@ -115,7 +115,7 @@ def test_modulus_linear_field_exact():
 
 
 def test_modulus_monotone_and_resolution_guard():
-    g = make_uniform_grid(16, 17)
+    g = ChannelGrid(16, 17)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(3)
     f = ChannelField.from_function(
@@ -154,7 +154,7 @@ def test_modulus_matches_bruteforce_on_fields_varying_in_x(log2_nx, ny, seed, h_
     # A random profile in x, constant in y: the largest increment sits on
     # an x-axis pair, so the two scans agree exactly, and pairs that wrap
     # across the periodic x boundary take part in the maximum.
-    g = make_uniform_grid(2**log2_nx, ny)
+    g = ChannelGrid(2**log2_nx, ny)
     profile = np.random.default_rng(seed).standard_normal(g.nx)
     f = ChannelField(g, np.repeat(profile[:, None], ny, axis=1))
     h = h_steps * max(g.hx, g.hy)
@@ -170,7 +170,7 @@ def test_holder_quotient_linear_is_lipschitz():
 
 
 def test_holder_quotient_constant_field():
-    g = make_uniform_grid(16, 9)
+    g = ChannelGrid(16, 9)
     f = ChannelField(g, np.full((16, 9), 3.7))
     est = holder_quotient(f, alpha=0.5, h_min=0.125, h_max=0.5)
     assert est.seminorm == 0.0
@@ -178,7 +178,7 @@ def test_holder_quotient_constant_field():
 
 
 def test_holder_quotient_seminorm_below_bruteforce():
-    g = make_uniform_grid(16, 17)
+    g = ChannelGrid(16, 17)
     rng = np.random.default_rng(11)
     f = ChannelField(g, rng.standard_normal((16, 17)))
     est = holder_quotient(f, alpha=0.5, h_min=0.125, h_max=0.5)
@@ -189,7 +189,7 @@ def test_holder_quotient_seminorm_below_bruteforce():
 
 
 def test_holder_quotient_empty_pair_set():
-    g = make_uniform_grid(8, 5)  # hx = hy = 0.25
+    g = ChannelGrid(8, 5)  # hx = hy = 0.25
     f = ChannelField(g, np.zeros((8, 5)))
     with pytest.raises(ValueError, match="empty pair set"):
         holder_quotient(f, alpha=0.5, h_min=0.35, h_max=0.35)
@@ -210,24 +210,32 @@ def test_estimate_holder_exponent_errors():
         estimate_holder_exponent(f, [0.5, 0.25, 0.2, 0.1])
     with pytest.raises(ValueError, match="integer multiple"):
         estimate_holder_exponent(f, [0.6, 0.3, 0.15, 0.075])
-    g = make_uniform_grid(16, 9)
+    g = ChannelGrid(16, 9)
     const = ChannelField(g, np.ones((16, 9)))
     with pytest.raises(ValueError, match="zero"):
         estimate_holder_exponent(const, [1.0, 0.5, 0.25, 0.125])
 
 
-def test_c_alpha_norm_is_max_plus_largest_component_seminorm():
-    grid = ChannelGrid(nx=64, ny=33)
-    X, Y = grid.meshgrid()
-    a = Y
-    b = 0.5 * np.sin(np.pi * X)
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.sampled_from([32, 64]),
+    ny=st.integers(17, 40),
+    components=st.integers(1, 2),
+    alpha=st.sampled_from([0.25, 0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_c_alpha_norm_is_max_plus_largest_component_seminorm(nx, ny, components, alpha, seed):
+    # c_alpha_norm and holder_quotient share the dyadic scan but not a
+    # call path, so tie them together bitwise
+    grid = ChannelGrid(nx=nx, ny=ny)
+    vals = np.random.default_rng(seed).standard_normal((components, nx, ny))
     scales = c_alpha_norm_scales(grid)
     assert scales == (4.0 * max(grid.hx, grid.hy), 0.25)
-    semi = {id(v): holder_quotient(ChannelField(grid, v), 0.5, *scales).seminorm
-            for v in (a, b)}
-    assert c_alpha_norm(a, grid, 0.5) == 1.0 + semi[id(a)]
-    assert c_alpha_norm(np.stack([a, b]), grid, 0.5) == 1.0 + max(semi.values())
-    assert c_alpha_norm(np.stack([a, b]), grid, 0.0) == 1.0  # beta = 0: max only
+    semi = [holder_quotient(ChannelField(grid, c), alpha, *scales).seminorm for c in vals]
+    top = [float(np.max(np.abs(c))) for c in vals]
+    assert c_alpha_norm(vals[0], grid, alpha) == top[0] + semi[0]
+    assert c_alpha_norm(vals, grid, alpha) == max(top) + max(semi)
+    assert c_alpha_norm(vals, grid, 0.0) == max(top)  # beta = 0: max only
 
 
 def test_c_alpha_norm_of_zero_field_needs_no_scan():
@@ -236,6 +244,74 @@ def test_c_alpha_norm_of_zero_field_needs_no_scan():
     X, _ = coarse.meshgrid()
     with pytest.raises(ValueError, match="h_max"):
         c_alpha_norm(np.sin(np.pi * X), coarse, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(3, 40),
+    components=st.integers(1, 2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_shift_maxima_matches_the_roll_oracle(log2_nx, ny, components, seed, data):
+    # shifts across the periodic seam, pure-y shifts and shifts with no
+    # y-overlap all take part
+    nx = 2**log2_nx
+    shifts = data.draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(-ny, ny)),
+                                min_size=1, max_size=8))
+    vals = np.random.default_rng(seed).standard_normal((components, nx, ny))
+    got = fields._shift_maxima(vals, shifts)
+    assert got.shape == (len(shifts), components)
+    for k, (di, dj) in enumerate(shifts):
+        for c in range(components):
+            assert got[k, c] == roll_shift_max(vals[c], di, dj)
+    assert np.array_equal(fields._shift_maxima(vals[0], shifts), got[:, 0])
+
+
+def test_each_estimator_makes_one_scan(monkeypatch):
+    calls = []
+    scan = fields._shift_maxima
+
+    def counting(vals, shifts):
+        calls.append(len(shifts))
+        return scan(vals, shifts)
+
+    monkeypatch.setattr(fields, "_shift_maxima", counting)
+    f = _linear_in_y()
+    grid = f.grid
+    X, _ = grid.meshgrid()
+    stack = np.stack([f.component(0), np.sin(np.pi * X)])
+    for estimate in (
+        lambda: modulus_of_continuity(f, 0.25),
+        lambda: holder_quotient(f, 0.5, 1.0 / 128, 0.25),
+        lambda: estimate_holder_exponent(f, [2.0**-k for k in range(2, 6)]),
+        lambda: c_alpha_norm(stack, grid, 0.5),
+    ):
+        calls.clear()
+        estimate()
+        assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(ValueError, match="exceeds"):
+        estimate_holder_exponent(f, [0.125, 0.25, 0.5, 1.0, 2.0])  # 2.0 > half period
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_estimators_reject_a_non_finite_node(bad):
+    grid = ChannelGrid(64, 33)
+    X, _ = grid.meshgrid()
+    vals = np.sin(np.pi * X)
+    vals[5, 7] = bad
+    f = ChannelField(grid, vals)
+    with pytest.raises(ValueError, match="non-finite"):
+        modulus_of_continuity(f, 0.25)
+    with pytest.raises(ValueError, match="non-finite"):
+        holder_quotient(f, 0.5, 0.125, 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_holder_exponent(f, [0.125, 0.25, 0.5, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        c_alpha_norm(np.stack([np.sin(np.pi * X), vals]), grid, 0.5)
 
 
 def test_check_tangential():

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from holderlab import cli
-from holderlab.fields import ChannelField, make_uniform_grid
+from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.mollify import (
     make_mollifier,
     max_discrete_divergence,
@@ -46,14 +46,14 @@ def test_make_mollifier_validation():
 
 
 def test_stream_of_constant_flow_is_zero_with_unit_flux():
-    grid = make_uniform_grid(64, 65)
+    grid = ChannelGrid(64, 65)
     psi, flux = stream_from_velocity(constant_flow(grid))
     assert np.all(psi.values == 0.0)
     assert flux == 1.0
 
 
 def test_stream_of_zero_flow():
-    grid = make_uniform_grid(32, 33)
+    grid = ChannelGrid(32, 33)
     zero = ChannelField(grid, np.zeros((2, 32, 33)))
     psi, flux = stream_from_velocity(zero)
     assert np.all(psi.values == 0.0)
@@ -62,7 +62,7 @@ def test_stream_of_zero_flow():
 
 def test_stream_recovery_matches_closed_form():
     p = WeierstrassParams(alpha=0.5, n_terms=4)
-    grid = make_uniform_grid(256, 257)
+    grid = ChannelGrid(256, 257)
     psi, flux = stream_from_velocity(velocity_field(p, grid))
     exact = stream_field(p, grid)
     assert np.max(np.abs(psi.values - exact.values)) < 5e-5
@@ -70,14 +70,14 @@ def test_stream_recovery_matches_closed_form():
 
 
 def test_stream_rejects_wall_normal_flow():
-    grid = make_uniform_grid(32, 33)
+    grid = ChannelGrid(32, 33)
     bad = ChannelField(grid, np.stack([np.zeros((32, 33)), np.ones((32, 33))]))
     with pytest.raises(ValueError, match="tangential"):
         stream_from_velocity(bad)
 
 
 def test_odd_extension_of_parabola():
-    grid = make_uniform_grid(16, 33)
+    grid = ChannelGrid(16, 33)
     ys = grid.y
     psi = ChannelField(grid, np.broadcast_to(ys * (1.0 - ys), (16, 33)).copy())
     ext = odd_extend(psi, margin=0.25)
@@ -91,21 +91,21 @@ def test_odd_extension_of_parabola():
 
 
 def test_odd_extension_of_odd_mode_is_the_same_mode():
-    grid = make_uniform_grid(16, 65)
+    grid = ChannelGrid(16, 65)
     psi = ChannelField(grid, np.broadcast_to(np.sin(np.pi * grid.y), (16, 65)).copy())
     ext = odd_extend(psi, margin=0.25)
     assert np.max(np.abs(ext.values[0] - np.sin(np.pi * ext.y))) < 1e-13
 
 
 def test_odd_extension_requires_wall_zeros():
-    grid = make_uniform_grid(16, 33)
+    grid = ChannelGrid(16, 33)
     psi = ChannelField(grid, np.ones((16, 33)))
     with pytest.raises(ValueError, match="wall"):
         odd_extend(psi)
 
 
 def test_odd_extension_margin_validation():
-    grid = make_uniform_grid(16, 33)
+    grid = ChannelGrid(16, 33)
     psi = ChannelField(grid, np.zeros((16, 33)))
     with pytest.raises(ValueError, match="margin"):
         odd_extend(psi, margin=1e-4)
@@ -114,7 +114,7 @@ def test_odd_extension_margin_validation():
 
 
 def test_mollify_requires_margin_headroom():
-    grid = make_uniform_grid(16, 33)
+    grid = ChannelGrid(16, 33)
     psi = ChannelField(grid, np.zeros((16, 33)))
     ext = odd_extend(psi, margin=0.25)
     with pytest.raises(ValueError, match="margin"):
@@ -123,7 +123,7 @@ def test_mollify_requires_margin_headroom():
 
 def test_mollified_stream_vanishes_at_walls():
     p = WeierstrassParams(alpha=0.5, n_terms=5)
-    grid = make_uniform_grid(64, 129)
+    grid = ChannelGrid(64, 129)
     psi, _ = stream_from_velocity(velocity_field(p, grid))
     ext = odd_extend(psi)
     smooth = mollify_stream(ext, make_mollifier(0.05))
@@ -132,14 +132,14 @@ def test_mollified_stream_vanishes_at_walls():
 
 
 def test_mollify_zero_stream_is_zero():
-    grid = make_uniform_grid(16, 33)
+    grid = ChannelGrid(16, 33)
     psi = ChannelField(grid, np.zeros((16, 33)))
     out = mollify_stream(odd_extend(psi), make_mollifier(0.1))
     assert np.all(out.values == 0.0)
 
 
 def test_velocity_of_zero_stream_is_uniform_flux():
-    grid = make_uniform_grid(32, 33)
+    grid = ChannelGrid(32, 33)
     psi = ChannelField(grid, np.zeros((32, 33)))
     u = velocity_from_stream(psi, 1.0)
     assert np.all(u.values[0] == 1.0)
@@ -149,7 +149,7 @@ def test_velocity_of_zero_stream_is_uniform_flux():
 
 def test_pipeline_exactness_on_weierstrass():
     p = WeierstrassParams(alpha=0.5, n_terms=20)
-    grid = make_uniform_grid(64, 129)
+    grid = ChannelGrid(64, 129)
     u = velocity_field(p, grid)
     psi, flux = stream_from_velocity(u)
     ext = odd_extend(psi)
@@ -161,7 +161,7 @@ def test_pipeline_exactness_on_weierstrass():
 
 
 def test_smooth_mode_error_is_second_order_in_epsilon():
-    grid = make_uniform_grid(128, 129)
+    grid = ChannelGrid(128, 129)
     X, Y = grid.meshgrid()
     u = ChannelField(
         grid,
@@ -178,7 +178,7 @@ def test_smooth_mode_error_is_second_order_in_epsilon():
 
 def test_report_on_weierstrass_sweep():
     p = WeierstrassParams(alpha=0.5, n_terms=20)
-    grid = make_uniform_grid(64, 129)
+    grid = ChannelGrid(64, 129)
     u = velocity_field(p, grid)
     rep = mollification_report(
         u, alpha=0.5, epsilons=[0.1, 0.05, 0.025, 0.0125], betas=[0.0, 0.25]
@@ -193,7 +193,7 @@ def test_report_on_weierstrass_sweep():
 
 
 def test_report_of_constant_flow_is_exact():
-    grid = make_uniform_grid(32, 65)
+    grid = ChannelGrid(32, 65)
     rep = mollification_report(
         constant_flow(grid), alpha=0.5, epsilons=[0.1, 0.05, 0.025], betas=[0.0, 0.25]
     )
@@ -203,7 +203,7 @@ def test_report_of_constant_flow_is_exact():
 
 
 def test_report_needs_three_epsilons():
-    grid = make_uniform_grid(32, 65)
+    grid = ChannelGrid(32, 65)
     with pytest.raises(ValueError, match="3 epsilons"):
         mollification_report(constant_flow(grid), alpha=0.5, epsilons=[0.1, 0.05])
 

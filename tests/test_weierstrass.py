@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holderlab.fields import ChannelField, make_uniform_grid, modulus_of_continuity
+from holderlab.fields import ChannelField, ChannelGrid, modulus_of_continuity
 from holderlab.weierstrass import (
     WeierstrassParams,
     divergence_residual,
@@ -73,7 +73,7 @@ def test_stream_single_term_value():
 def test_grid_samplers_match_pointwise_evaluation_bitwise(log2_nx, ny, alpha, n_terms):
     # the grid samplers (axes broadcast) against the pointwise series
     # evaluated on the full meshgrid: same samples, bit for bit
-    g = make_uniform_grid(2**log2_nx, ny)
+    g = ChannelGrid(2**log2_nx, ny)
     p = WeierstrassParams(alpha=alpha, n_terms=n_terms)
     X, Y = g.meshgrid()
     u = velocity_field(p, g).values
@@ -112,7 +112,7 @@ def test_holder_constant_bound():
 def test_seminorm_stays_under_closed_form_bound():
     from holderlab.fields import holder_quotient
 
-    g = make_uniform_grid(512, 257)
+    g = ChannelGrid(512, 257)
     u = velocity_field(WeierstrassParams(alpha=0.5, n_terms=30), g)
     f2 = ChannelField(g, u.component(1))
     est = holder_quotient(f2, alpha=0.5, h_min=g.hy, h_max=0.5)
@@ -125,7 +125,7 @@ def test_seminorm_stays_under_closed_form_bound():
 def test_fitted_exponent_recovers_alpha_03():
     from holderlab.fields import estimate_holder_exponent
 
-    g = make_uniform_grid(1024, 1025)
+    g = ChannelGrid(1024, 1025)
     u = velocity_field(WeierstrassParams(alpha=0.3, n_terms=40), g)
     f2 = ChannelField(g, u.component(1))
     est = estimate_holder_exponent(f2, [2.0**-m for m in range(6, 10)])
@@ -136,14 +136,14 @@ def test_sampling_truncates_fine_modes_exactly():
     # on a 256x257 grid every term with k >= 8 vanishes at all nodes
     # (its y-factor hits sin of an integer multiple of pi), so deeper
     # truncations sample to bitwise-identical fields
-    g = make_uniform_grid(256, 257)
+    g = ChannelGrid(256, 257)
     ua = velocity_field(WeierstrassParams(alpha=0.5, n_terms=8), g)
     ub = velocity_field(WeierstrassParams(alpha=0.5, n_terms=30), g)
     assert np.array_equal(ua.values, ub.values)
 
 
 def test_divergence_residual_single_mode():
-    g = make_uniform_grid(256, 129)
+    g = ChannelGrid(256, 129)
     r = divergence_residual(WeierstrassParams(alpha=0.5, n_terms=0), g)
     assert r <= 1e-3
 
@@ -151,7 +151,7 @@ def test_divergence_residual_single_mode():
 def test_divergence_residual_square_cells_cancel_exactly():
     # equal x- and y-frequencies per term make the centered differences
     # cancel identically when hx == hy; the residual is rounding noise
-    g = make_uniform_grid(1024, 513)
+    g = ChannelGrid(1024, 513)
     r = divergence_residual(WeierstrassParams(alpha=0.5, n_terms=3), g)
     assert r <= 1e-12
 
@@ -160,7 +160,7 @@ def test_divergence_residual_second_order_on_anisotropic_cells():
     p = WeierstrassParams(alpha=0.5, n_terms=3)
     residuals = []
     for nx in (256, 512, 1024):
-        g = make_uniform_grid(nx, nx // 4 + 1)  # hy = 2 hx: no exact pairing
+        g = ChannelGrid(nx, nx // 4 + 1)  # hy = 2 hx: no exact pairing
         residuals.append(divergence_residual(p, g))
     slopes = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     for s in slopes:
@@ -168,13 +168,13 @@ def test_divergence_residual_second_order_on_anisotropic_cells():
 
 
 def test_divergence_residual_constant_flow_exact_zero():
-    g = make_uniform_grid(64, 33)
+    g = ChannelGrid(64, 33)
     u = ChannelField(g, np.stack([np.ones((64, 33)), np.zeros((64, 33))]))
     assert field_divergence_residual(u) == 0.0
 
 
 def test_divergence_residual_warns_when_under_resolved():
-    g = make_uniform_grid(64, 33)
+    g = ChannelGrid(64, 33)
     with pytest.warns(UserWarning, match="under-resolves"):
         divergence_residual(WeierstrassParams(alpha=0.5, n_terms=5), g)
 
@@ -184,7 +184,7 @@ def test_stream_velocity_fd_consistency_within_remainder_bound():
     # velocity up to the third-derivative remainder of each retained term
     alpha, n_terms = 0.5, 5
     p = WeierstrassParams(alpha=alpha, n_terms=n_terms)
-    g = make_uniform_grid(256, 257)
+    g = ChannelGrid(256, 257)
     psi = stream_field(p, g).values[0]
     u1, u2 = velocity_field(p, g).values
     dpsidy = (psi[:, 2:] - psi[:, :-2]) / (2.0 * g.hy)
@@ -204,7 +204,7 @@ def test_stream_velocity_fd_consistency_is_second_order():
     p = WeierstrassParams(alpha=0.5, n_terms=3)
     errs = []
     for nx in (128, 256, 512):
-        g = make_uniform_grid(nx, nx // 2 + 1)
+        g = ChannelGrid(nx, nx // 2 + 1)
         psi = stream_field(p, g).values[0]
         u1 = velocity_field(p, g).values[0]
         dpsidy = (psi[:, 2:] - psi[:, :-2]) / (2.0 * g.hy)
