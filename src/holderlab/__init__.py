@@ -28,7 +28,6 @@ from .pressure import (
     CutoffProfile,
     dirichlet_schauder_check,
     estimate_ratio,
-    recover_raw_pressure,
     solve_modified_pressure,
     weak_normal_trace,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "make_surface_patch",
     "modulus_of_continuity",
     "mollification_report",
-    "recover_raw_pressure",
     "solve_modified_pressure",
     "stream_field",
     "velocity_field",

@@ -274,52 +274,43 @@ GEOMETRY_TOLERANCES = {
 }
 
 
+def _probe_grad(x):
+    return np.stack([2.0 * x[..., 0], -2.0 * x[..., 1], np.ones(x.shape[:-1])], axis=-1)
+
+
+def _identity_residuals(patch, pt: TubularPoint) -> dict:
+    """Worst metric/Laplacian/oracle residuals over the point set pt."""
+    radius = squared_radius_field(patch)
+    grad_probe = cartesian_scalar_field(
+        patch, value=lambda x: x[..., 0] ** 2 - x[..., 1] ** 2 + x[..., 2], grad=_probe_grad)
+    expand = cartesian_vector_field(patch, lambda x: x)
+    swirl = cartesian_vector_field(
+        patch, lambda x: np.stack([-x[..., 1], x[..., 0], np.zeros(x.shape[:-1])], axis=-1))
+    a_inv = metric(patch, pt).a_inv
+    lap = laplacian_curvilinear(radius, patch, pt)
+    split = tangential_laplacian(radius, patch, pt) + normal_laplacian_part(radius, patch, pt)
+    residuals = {
+        "block": [a_inv[..., 2, 2] - 1.0, a_inv[..., 0, 2], a_inv[..., 2, 0],
+                  a_inv[..., 1, 2], a_inv[..., 2, 1]],
+        "split": lap - split,
+        "radius": lap - 6.0,
+        "gradient": gradient_curvilinear(grad_probe, patch, pt) - _probe_grad(chart(patch, pt)),
+        "divergence": [divergence_curvilinear(expand, patch, pt) - 3.0,
+                       divergence_curvilinear(swirl, patch, pt)],
+    }
+    return {key: float(np.max(np.abs(residuals[key]))) for key in GEOMETRY_TOLERANCES}
+
+
 def patch_identity_residuals(name: str) -> dict:
     """Worst metric/Laplacian/oracle residuals over 100 tubular points
     of one catalog patch (5 x 5 tangential lattice, 4 depths)."""
     patch = PATCH_BUILDERS[name]()
     (lo1, hi1), (lo2, hi2) = patch.domain
-    radius = squared_radius_field(patch)
-    grad_probe = cartesian_scalar_field(
-        patch,
-        value=lambda x: x[0] ** 2 - x[1] ** 2 + x[2],
-        grad=lambda x: np.array([2.0 * x[0], -2.0 * x[1], 1.0]),
-    )
-    expand = cartesian_vector_field(patch, lambda x: np.array([x[0], x[1], x[2]]))
-    swirl = cartesian_vector_field(patch, lambda x: np.array([-x[1], x[0], 0.0]))
-    worst = {key: 0.0 for key in GEOMETRY_TOLERANCES}
-    fractions = (0.15, 0.3, 0.5, 0.7, 0.85)
-    for f1 in fractions:
-        for f2 in fractions:
-            s1 = lo1 + f1 * (hi1 - lo1)
-            s2 = lo2 + f2 * (hi2 - lo2)
-            for s in (0.0, patch.delta / 3.0, patch.delta / 2.0,
-                      0.9 * patch.delta):
-                pt = TubularPoint(s1, s2, s)
-                a_inv = metric(patch, pt).a_inv
-                worst["block"] = max(
-                    worst["block"],
-                    abs(a_inv[2, 2] - 1.0),
-                    abs(a_inv[0, 2]), abs(a_inv[2, 0]),
-                    abs(a_inv[1, 2]), abs(a_inv[2, 1]),
-                )
-                lap = laplacian_curvilinear(radius, patch, pt)
-                split = (tangential_laplacian(radius, patch, pt)
-                         + normal_laplacian_part(radius, patch, pt))
-                worst["split"] = max(worst["split"], abs(lap - split))
-                worst["radius"] = max(worst["radius"], abs(lap - 6.0))
-                x = chart(patch, pt)
-                expected_grad = np.array([2.0 * x[0], -2.0 * x[1], 1.0])
-                g = gradient_curvilinear(grad_probe, patch, pt)
-                worst["gradient"] = max(
-                    worst["gradient"],
-                    float(np.max(np.abs(g - expected_grad))))
-                worst["divergence"] = max(
-                    worst["divergence"],
-                    abs(divergence_curvilinear(expand, patch, pt) - 3.0),
-                    abs(divergence_curvilinear(swirl, patch, pt)),
-                )
-    return worst
+    fractions = np.array([0.15, 0.3, 0.5, 0.7, 0.85])
+    depths = np.array([0.0, patch.delta / 3.0, patch.delta / 2.0, 0.9 * patch.delta])
+    pt = TubularPoint(*np.meshgrid(lo1 + fractions * (hi1 - lo1), lo2 + fractions * (hi2 - lo2),
+                                   depths, indexing="ij"))
+    return _identity_residuals(patch, pt)
 
 
 def geometry_identities() -> CriterionResult:

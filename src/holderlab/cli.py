@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, acceptance
 from .fields import ChannelField, ChannelGrid, c_alpha_norm_scales, holder_quotient
 from .formats import write_csv, write_json
+from .geometry import PATCH_BUILDERS
 from .mollify import mollification_report
 from .pressure import (
     CutoffProfile,
@@ -179,15 +180,14 @@ def cmd_trace_blowup(params: dict, out: Path) -> int:
 
 
 def cmd_geometry_verify(params: dict, out: Path) -> int:
-    names = (("flat", "paraboloid", "saddle", "sinusoidal")
-             if params["patch"] == "all" else (str(params["patch"]),))
+    patch = str(params["patch"])
+    if patch != "all" and patch not in PATCH_BUILDERS:
+        raise ConfigError(f"unknown patch {patch!r}")
+    names = tuple(PATCH_BUILDERS) if patch == "all" else (patch,)
     per_patch = {}
     ok = True
     for name in names:
-        try:
-            worst = acceptance.patch_identity_residuals(name)
-        except KeyError as exc:
-            raise ConfigError(f"unknown patch {name!r}") from exc
+        worst = acceptance.patch_identity_residuals(name)
         passed = all(worst[k] <= tol for k, tol in acceptance.GEOMETRY_TOLERANCES.items())
         ok = ok and passed
         per_patch[name] = {"residuals": worst, "passed": passed}

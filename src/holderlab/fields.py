@@ -26,7 +26,6 @@ a sup over all separations <= h carries.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ __all__ = [
     "ChannelField",
     "HolderEstimate",
     "write_field_csv",
-    "read_field_csv",
     "modulus_of_continuity",
     "holder_quotient",
     "c_alpha_norm_scales",
@@ -162,35 +160,6 @@ def write_field_csv(field: ChannelField, path) -> None:
         np.repeat(np.arange(nc), g.nx * g.ny).tolist(),
         field.values.transpose(0, 2, 1).ravel().tolist(),
     ))
-
-
-def read_field_csv(path, x_period: float | None = None) -> ChannelField:
-    """Rebuild a field written by :func:`write_field_csv`."""
-    xs, ys, comps, vals = [], [], [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["x", "y", "component", "value"]:
-            raise ValueError(f"unexpected header {header}")
-        for row in r:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-            comps.append(int(row[2]))
-            vals.append(float(row[3]))
-    ux = sorted(set(xs))
-    uy = sorted(set(ys))
-    ncomp = max(comps) + 1
-    nx, ny = len(ux), len(uy)
-    if x_period is None:
-        x_period = ux[1] - ux[0] if nx > 1 else 1.0
-        x_period *= nx
-    grid = ChannelGrid(nx=nx, ny=ny, x_period=x_period, y_extent=uy[-1])
-    xi = {v: i for i, v in enumerate(ux)}
-    yi = {v: j for j, v in enumerate(uy)}
-    out = np.empty((ncomp, nx, ny))
-    for x, y, c, v in zip(xs, ys, comps, vals):
-        out[c, xi[x], yi[y]] = v
-    return ChannelField(grid, out)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,32 @@ entry (3,3) is 1 and the normal-tangential entries vanish, which is
 what splits the Laplacian into tangential and straight-line normal
 parts.
 
+Every operator works on whole point sets.  The coordinates of a
+:class:`TubularPoint` are floats or arrays of one broadcast shape
+``(...)``; float coordinates are the 0-d case of the same code.  Results
+carry the point shape in front and components last: ``chart`` and
+``gradient_curvilinear`` give ``(..., 3)``, the metric Jacobian and
+inverse metric ``(..., 3, 3)``, ``b``, the divergence and the
+Laplacians ``(...)``.  Callables follow the same contract.  Patch
+callables take arrays ``(s1, s2)``: ``height`` returns ``(...)``,
+``grad`` ``(..., 2)`` and ``hess`` ``(..., 2, 2)``.  Chart-field
+callables take ``(s1, s2, s)``: ``ChartScalarField.grad`` and
+``ChartVectorField.components`` return ``(..., 3)``.  Cartesian
+callbacks take ``x`` of shape ``(..., 3)``.  Each result is broadcast to
+the point shape, so a callable may return a constant.  The small
+contractions use ``matmul``, ``vecdot`` and the stacked ``linalg``
+routines, which make the same BLAS and LAPACK calls as one-point
+products; a point set therefore gives, bit for bit, the values of its
+points taken one at a time (elementwise sums or ``einsum`` would not).
+
 Derivatives of the metric quantities are taken by centered differences
-with step 1e-5 * delta; with analytic patch derivatives this keeps the
-FD noise near 1e-10, well inside the 1e-8 identity tolerances used by
-the test-suite.
+with step 1e-5 * delta, all six neighbours of every point in one
+evaluation; with analytic patch derivatives this keeps the FD noise near
+1e-10, well inside the 1e-8 identity tolerances used by the test-suite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,16 +79,17 @@ _DET_FLOOR = 1e-8
 class SurfacePatch:
     """Height-function boundary patch with analytic derivatives.
 
-    height(s1, s2) -> float, grad(s1, s2) -> (2,) array, hess(s1, s2)
-    -> (2,2) array.  domain is ((s1_min, s1_max), (s2_min, s2_max)) and
-    delta the admissible inward depth.  Use :func:`make_surface_patch`,
-    which cross-checks the derivatives and scans the chart for
-    degeneracy; the raw constructor performs no validation.
+    height(s1, s2) -> (...), grad(s1, s2) -> (..., 2), hess(s1, s2) ->
+    (..., 2, 2) for arrays s1, s2 of shape (...).  domain is ((s1_min,
+    s1_max), (s2_min, s2_max)) and delta the admissible inward depth.
+    Use :func:`make_surface_patch`, which cross-checks the derivatives
+    and scans the chart for degeneracy; the raw constructor performs no
+    validation.
     """
 
-    height: Callable[[float, float], float]
-    grad: Callable[[float, float], np.ndarray]
-    hess: Callable[[float, float], np.ndarray]
+    height: Callable
+    grad: Callable
+    hess: Callable
     domain: tuple
     delta: float
     name: str = ""
@@ -79,15 +97,21 @@ class SurfacePatch:
 
 @dataclass(frozen=True)
 class TubularPoint:
-    """Chart coordinates: surface parameters and inward wall distance."""
+    """Chart coordinates: surface parameters and inward wall distance.
+
+    Floats give one point, arrays of one broadcast shape a point set.
+    Every coordinate must be finite and s nonnegative.
+    """
 
     sigma1: float
     sigma2: float
     s: float
 
     def __post_init__(self):
-        if self.s < 0.0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
+        if not all(np.all(np.isfinite(c)) for c in (self.sigma1, self.sigma2, self.s)):
+            raise ValueError("chart coordinates must be finite")
+        if np.any(np.asarray(self.s) < 0.0):
+            raise ValueError(f"s must be nonnegative, got {np.min(self.s)}")
 
 
 @dataclass(frozen=True)
@@ -99,30 +123,76 @@ class MetricData:
     b: float
 
 
+def _shaped(shape: tuple, value) -> np.ndarray:
+    """A callable's result as a float array broadcast to shape."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
+def _stack(s1, s2, s) -> np.ndarray:
+    """Chart coordinates broadcast together, shape (..., 3)."""
+    return np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (s1, s2, s))),
+                    axis=-1)
+
+
+def _unit_normal(g: np.ndarray):
+    """Inward unit normal (..., 3) and its scale w = sqrt(1 + |g|^2)."""
+    w = np.sqrt(1.0 + g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
+    n = np.stack([g[..., 0], g[..., 1], np.full(w.shape, -1.0)], axis=-1) / w[..., None]
+    return n, w
+
+
+def _frame(patch: SurfacePatch, xi: np.ndarray):
+    """Chart position x (..., 3) and Jacobian J (..., 3, 3) at chart points xi (..., 3).
+
+    The tangential columns are (e_j, d_j a) + s d_j n with the normal
+    derivative d_j n = (H e_j - n (g . H e_j) / w) / w.
+    """
+    s1, s2, s = np.moveaxis(xi, -1, 0)
+    g = _shaped(s.shape + (2,), patch.grad(s1, s2))
+    H = _shaped(s.shape + (2, 2), patch.hess(s1, s2))
+    n, w = _unit_normal(g)
+    # g . H e_j over the strided columns of H, as a one-point g @ H[:, j] does
+    dw = np.vecdot(g[..., None, :], H.mT) / w[..., None]
+    dn = np.zeros(s.shape + (3, 2))
+    dn[..., :2, :] = H / w[..., None, None]
+    dn -= n[..., :, None] * (dw / w[..., None])[..., None, :]
+    J = np.empty(s.shape + (3, 3))
+    tangent = np.concatenate([np.broadcast_to(np.eye(2), s.shape + (2, 2)), g[..., None, :]],
+                             axis=-2)
+    J[..., :2] = tangent + s[..., None, None] * dn
+    J[..., 2] = n
+    x = np.stack([s1, s2, _shaped(s.shape, patch.height(s1, s2))], axis=-1) + s[..., None] * n
+    return x, J
+
+
+def _metric_at(patch: SurfacePatch, xi: np.ndarray) -> MetricData:
+    J = _frame(patch, xi)[1]
+    det = np.linalg.det(J)
+    # written so that a NaN determinant fails it too
+    if not np.all(np.abs(det) >= _DET_FLOOR):
+        raise ValueError("degenerate chart Jacobian: point past the focal distance")
+    Jinv = np.linalg.inv(J)
+    return MetricData(jacobian=J, a_inv=Jinv @ Jinv.mT, b=np.abs(det))
+
+
 def _check_derivatives(patch: SurfacePatch) -> None:
     (lo1, hi1), (lo2, hi2) = patch.domain
     h = 1e-5 * max(hi1 - lo1, hi2 - lo2)
-    for s1 in np.linspace(lo1, hi1, 5):
-        for s2 in np.linspace(lo2, hi2, 5):
-            g = np.asarray(patch.grad(s1, s2), dtype=float)
-            fd_g = np.array(
-                [
-                    (patch.height(s1 + h, s2) - patch.height(s1 - h, s2)) / (2 * h),
-                    (patch.height(s1, s2 + h) - patch.height(s1, s2 - h)) / (2 * h),
-                ]
-            )
-            if not np.allclose(g, fd_g, rtol=1e-5, atol=1e-5):
-                raise ValueError("grad is inconsistent with height under FD check")
-            H = np.asarray(patch.hess(s1, s2), dtype=float)
-            gp1 = np.asarray(patch.grad(s1 + h, s2), dtype=float)
-            gm1 = np.asarray(patch.grad(s1 - h, s2), dtype=float)
-            gp2 = np.asarray(patch.grad(s1, s2 + h), dtype=float)
-            gm2 = np.asarray(patch.grad(s1, s2 - h), dtype=float)
-            fd_H = np.column_stack([(gp1 - gm1) / (2 * h), (gp2 - gm2) / (2 * h)])
-            if not np.allclose(H, fd_H, rtol=1e-5, atol=1e-5):
-                raise ValueError("hess is inconsistent with grad under FD check")
-            if not np.allclose(H, H.T, rtol=0, atol=1e-12):
-                raise ValueError("hess must be symmetric")
+    s1, s2 = np.meshgrid(np.linspace(lo1, hi1, 5), np.linspace(lo2, hi2, 5), indexing="ij")
+    # each lattice point, then its neighbours at +-h along sigma1 and sigma2
+    d = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    p1, p2 = s1 + d[:, 0, None, None], s2 + d[:, 1, None, None]
+    a = _shaped(p1.shape, patch.height(p1, p2))
+    g = _shaped(p1.shape + (2,), patch.grad(p1, p2))
+    H = _shaped(s1.shape + (2, 2), patch.hess(s1, s2))
+    fd_g = np.stack([a[1] - a[2], a[3] - a[4]], axis=-1) / (2 * h)
+    if not np.allclose(g[0], fd_g, rtol=1e-5, atol=1e-5):
+        raise ValueError("grad is inconsistent with height under FD check")
+    fd_H = np.stack([g[1] - g[2], g[3] - g[4]], axis=-1) / (2 * h)
+    if not np.allclose(H, fd_H, rtol=1e-5, atol=1e-5):
+        raise ValueError("hess is inconsistent with grad under FD check")
+    if not np.allclose(H, H.mT, rtol=0, atol=1e-12):
+        raise ValueError("hess must be symmetric")
 
 
 def _scan_degeneracy(patch: SurfacePatch) -> None:
@@ -135,23 +205,14 @@ def _scan_degeneracy(patch: SurfacePatch) -> None:
     symmetric focal point of a bowl-shaped patch is exactly that case).
     """
     (lo1, hi1), (lo2, hi2) = patch.domain
-    dets = []
     s_nodes = np.linspace(0.0, patch.delta, 4)
-    for s1 in np.linspace(lo1, hi1, 9):
-        for s2 in np.linspace(lo2, hi2, 9):
-            samples = np.array(
-                [np.linalg.det(_jacobian(patch, s1, s2, s)) for s in s_nodes]
-            )
-            dets.extend(samples)
-            coeffs = np.polyfit(s_nodes, samples, 3)
-            for root in np.roots(coeffs):
-                if abs(root.imag) < 1e-9 and -1e-12 <= root.real <= patch.delta:
-                    raise ValueError(
-                        "chart degenerates inside the tube: delta exceeds "
-                        "the focal distance of the patch"
-                    )
-    dets = np.asarray(dets)
-    if np.min(np.abs(dets)) < _DET_FLOOR or np.min(dets) * np.max(dets) < 0.0:
+    xi = np.stack(np.meshgrid(np.linspace(lo1, hi1, 9), np.linspace(lo2, hi2, 9), s_nodes,
+                              indexing="ij"), axis=-1)
+    dets = np.linalg.det(_frame(patch, xi)[1]).reshape(-1, 4)
+    if (not np.min(np.abs(dets)) >= _DET_FLOOR or np.min(dets) * np.max(dets) < 0.0
+            or any(abs(root.imag) < 1e-9 and -1e-12 <= root.real <= patch.delta
+                   for coeffs in np.polyfit(s_nodes, dets.T, 3).T
+                   for root in np.roots(coeffs))):
         raise ValueError(
             "chart degenerates inside the tube: delta exceeds the focal "
             "distance of the patch"
@@ -165,11 +226,11 @@ def make_surface_patch(height, grad, hess, domain, delta, name="") -> SurfacePat
     lattice, then scans det J over the tube and rejects the patch when
     the determinant falls below 1e-8 in magnitude or changes sign.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     (lo1, hi1), (lo2, hi2) = domain
-    if not (hi1 > lo1 and hi2 > lo2):
-        raise ValueError("domain rectangle must have positive extent")
+    if not (np.all(np.isfinite(domain)) and hi1 > lo1 and hi2 > lo2):
+        raise ValueError("domain rectangle must be finite with positive extent")
     patch = SurfacePatch(height=height, grad=grad, hess=hess,
                          domain=((float(lo1), float(hi1)), (float(lo2), float(hi2))),
                          delta=float(delta), name=name)
@@ -178,72 +239,39 @@ def make_surface_patch(height, grad, hess, domain, delta, name="") -> SurfacePat
     return patch
 
 
-def normal(patch: SurfacePatch, sigma1: float, sigma2: float) -> np.ndarray:
-    """Inward unit normal (d1 a, d2 a, -1)/sqrt(1 + |grad a|^2)."""
-    g = np.asarray(patch.grad(sigma1, sigma2), dtype=float)
-    w = math.sqrt(1.0 + g[0] * g[0] + g[1] * g[1])
-    return np.array([g[0], g[1], -1.0]) / w
+def normal(patch: SurfacePatch, sigma1, sigma2) -> np.ndarray:
+    """Inward unit normal (d1 a, d2 a, -1)/sqrt(1 + |grad a|^2), shape (..., 3)."""
+    s1, s2, _ = np.moveaxis(_stack(sigma1, sigma2, 0.0), -1, 0)
+    return _unit_normal(_shaped(s1.shape + (2,), patch.grad(s1, s2)))[0]
 
 
-def _normal_jacobian(patch: SurfacePatch, sigma1: float, sigma2: float) -> np.ndarray:
-    """3x2 matrix of d n / d sigma_j from the analytic height derivatives."""
-    g = np.asarray(patch.grad(sigma1, sigma2), dtype=float)
-    H = np.asarray(patch.hess(sigma1, sigma2), dtype=float)
-    w = math.sqrt(1.0 + g[0] * g[0] + g[1] * g[1])
-    nvec = np.array([g[0], g[1], -1.0]) / w
-    dn = np.zeros((3, 2))
-    for j in range(2):
-        dw = float(g @ H[:, j]) / w
-        dn[:2, j] = H[:, j] / w
-        dn[:, j] -= nvec * (dw / w)
-    return dn
+def _points(patch: SurfacePatch, pt: TubularPoint) -> np.ndarray:
+    """Chart coordinates of pt, shape (..., 3), checked against the tube."""
+    xi = _stack(pt.sigma1, pt.sigma2, pt.s)
+    s1, s2, s = np.moveaxis(xi, -1, 0)
+    (lo1, hi1), (lo2, hi2) = patch.domain
+    if not (np.all((lo1 <= s1) & (s1 <= hi1)) and np.all((lo2 <= s2) & (s2 <= hi2))):
+        raise ValueError(f"chart point outside the patch domain {patch.domain}")
+    if np.any(s > patch.delta):
+        raise ValueError(f"s={np.max(s)} exceeds the tube half-width {patch.delta}")
+    return xi
 
 
 def chart(patch: SurfacePatch, pt: TubularPoint) -> np.ndarray:
     """Cartesian position of the chart point y(sigma) + s n(sigma)."""
-    _validate_point(patch, pt)
-    base = np.array([pt.sigma1, pt.sigma2, patch.height(pt.sigma1, pt.sigma2)])
-    return base + pt.s * normal(patch, pt.sigma1, pt.sigma2)
-
-
-def _validate_point(patch: SurfacePatch, pt: TubularPoint) -> None:
-    (lo1, hi1), (lo2, hi2) = patch.domain
-    if not (lo1 <= pt.sigma1 <= hi1 and lo2 <= pt.sigma2 <= hi2):
-        raise ValueError(f"({pt.sigma1}, {pt.sigma2}) outside the patch domain")
-    if pt.s > patch.delta:
-        raise ValueError(f"s={pt.s} exceeds the tube half-width {patch.delta}")
-
-
-def _jacobian(patch: SurfacePatch, sigma1: float, sigma2: float, s: float) -> np.ndarray:
-    g = np.asarray(patch.grad(sigma1, sigma2), dtype=float)
-    dn = _normal_jacobian(patch, sigma1, sigma2)
-    J = np.empty((3, 3))
-    J[:, 0] = np.array([1.0, 0.0, g[0]]) + s * dn[:, 0]
-    J[:, 1] = np.array([0.0, 1.0, g[1]]) + s * dn[:, 1]
-    J[:, 2] = normal(patch, sigma1, sigma2)
-    return J
-
-
-def _metric_raw(patch: SurfacePatch, sigma1: float, sigma2: float, s: float) -> MetricData:
-    J = _jacobian(patch, sigma1, sigma2, s)
-    det = np.linalg.det(J)
-    if abs(det) < _DET_FLOOR:
-        raise ValueError("degenerate chart Jacobian: point past the focal distance")
-    Jinv = np.linalg.inv(J)
-    return MetricData(jacobian=J, a_inv=Jinv @ Jinv.T, b=abs(det))
+    return _frame(patch, _points(patch, pt))[0]
 
 
 def metric(patch: SurfacePatch, pt: TubularPoint) -> MetricData:
     """Jacobian, inverse metric, and volume factor at a chart point."""
-    _validate_point(patch, pt)
-    return _metric_raw(patch, pt.sigma1, pt.sigma2, pt.s)
+    return _metric_at(patch, _points(patch, pt))
 
 
 @dataclass(frozen=True)
 class ChartScalarField:
     """Scalar field of the chart coordinates with exact first partials.
 
-    value(s1, s2, s) -> float; grad(s1, s2, s) -> (3,) array of partials
+    value(s1, s2, s) -> (...); grad(s1, s2, s) -> (..., 3) partials
     with respect to (sigma1, sigma2, s).
     """
 
@@ -255,88 +283,77 @@ class ChartScalarField:
 class ChartVectorField:
     """Vector field given by its chart components (v1, v2, v3).
 
-    components(s1, s2, s) -> (3,) array; the physical field is J @ v.
+    components(s1, s2, s) -> (..., 3); the physical field is J @ v.
     """
 
     components: Callable
 
 
+def _on(fn, xi: np.ndarray) -> np.ndarray:
+    """A chart-field callable at chart points xi (..., 3), shape (..., 3)."""
+    return _shaped(xi.shape, fn(*np.moveaxis(xi, -1, 0)))
+
+
+def _stencil(patch: SurfacePatch, pt: TubularPoint):
+    """Chart points xi of pt, their volume factor b, the step h, and the
+    centred-difference neighbours nb (3, 2, ..., 3): nb[i, 0] is
+    xi + h e_i and nb[i, 1] is xi - h e_i."""
+    xi = _points(patch, pt)
+    b = _metric_at(patch, xi).b
+    h = 1e-5 * patch.delta
+    e = (h * np.eye(3)).reshape((3,) + (1,) * (xi.ndim - 1) + (3,))
+    return xi, b, h, np.stack([xi + e, xi - e], axis=1)
+
+
 def gradient_curvilinear(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint) -> np.ndarray:
     """Cartesian gradient assembled as sum_j J_col_j (a_inv @ chart grad)_j."""
-    md = metric(patch, pt)
-    gchart = np.asarray(f.grad(pt.sigma1, pt.sigma2, pt.s), dtype=float)
-    return md.jacobian @ (md.a_inv @ gchart)
+    xi = _points(patch, pt)
+    md = _metric_at(patch, xi)
+    return (md.jacobian @ (md.a_inv @ _on(f.grad, xi)[..., None]))[..., 0]
 
 
-def _h_geom(patch: SurfacePatch) -> float:
-    return 1e-5 * patch.delta
-
-
-def divergence_curvilinear(v: ChartVectorField, patch: SurfacePatch, pt: TubularPoint) -> float:
+def divergence_curvilinear(v: ChartVectorField, patch: SurfacePatch, pt: TubularPoint):
     """(1/b) sum_i d/dxi_i (b v_i), flux derivatives by centered FD."""
-    md = metric(patch, pt)
-    h = _h_geom(patch)
-    xi = np.array([pt.sigma1, pt.sigma2, pt.s])
+    _, b, h, nb = _stencil(patch, pt)
+    bn, vn = _metric_at(patch, nb).b, _on(v.components, nb)
     total = 0.0
     for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        p_plus, p_minus = xi + e, xi - e
-        bp = _metric_raw(patch, *p_plus).b
-        bm = _metric_raw(patch, *p_minus).b
-        vp = np.asarray(v.components(*p_plus), dtype=float)[i]
-        vm = np.asarray(v.components(*p_minus), dtype=float)[i]
-        total += (bp * vp - bm * vm) / (2.0 * h)
-    return total / md.b
+        total += (bn[i, 0] * vn[i, 0, ..., i] - bn[i, 1] * vn[i, 1, ..., i]) / (2.0 * h)
+    return total / b
 
 
-def _flux_laplacian(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint,
-                    directions) -> float:
-    md = metric(patch, pt)
-    h = _h_geom(patch)
-    xi = np.array([pt.sigma1, pt.sigma2, pt.s])
-    block = list(directions)
+def _flux_laplacian(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint, k: int):
+    """(1/b) sum_{i,j<k} d_i(b a_ij d_j f), flux derivatives by centered FD."""
+    _, b, h, nb = _stencil(patch, pt)
+    mdn, gn = _metric_at(patch, nb), _on(f.grad, nb)
     total = 0.0
-    for i in block:
-        e = np.zeros(3)
-        e[i] = h
-        fluxes = []
-        for p in (xi + e, xi - e):
-            mdp = _metric_raw(patch, *p)
-            gp = np.asarray(f.grad(*p), dtype=float)
-            fluxes.append(mdp.b * float(mdp.a_inv[i, block] @ gp[block]))
-        total += (fluxes[0] - fluxes[1]) / (2.0 * h)
-    return total / md.b
+    for i in range(k):
+        flux = mdn.b[i] * np.vecdot(mdn.a_inv[i, ..., i, :k], gn[i, ..., :k])
+        total += (flux[0] - flux[1]) / (2.0 * h)
+    return total / b
 
 
-def laplacian_curvilinear(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint) -> float:
+def laplacian_curvilinear(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint):
     """Full curvilinear Laplacian (1/b) sum_ij d_i(b a_ij d_j f)."""
-    return _flux_laplacian(f, patch, pt, (0, 1, 2))
+    return _flux_laplacian(f, patch, pt, 3)
 
 
-def tangential_laplacian(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint) -> float:
+def tangential_laplacian(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint):
     """Tangential block (1/b) sum_{i,j<=2} d_i(b a_ij d_j f)."""
-    return _flux_laplacian(f, patch, pt, (0, 1))
+    return _flux_laplacian(f, patch, pt, 2)
 
 
-def normal_laplacian_part(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint) -> float:
+def normal_laplacian_part(f: ChartScalarField, patch: SurfacePatch, pt: TubularPoint):
     """(1/b)(d_s b)(d_s f) + d^2_s f, the straight-line normal terms.
 
     The full Laplacian equals tangential_laplacian plus this quantity
     because the inverse metric carries no normal-tangential coupling.
     """
-    md = metric(patch, pt)
-    h = _h_geom(patch)
-    xi = np.array([pt.sigma1, pt.sigma2, pt.s])
-    e = np.array([0.0, 0.0, h])
-    b_plus = _metric_raw(patch, *(xi + e)).b
-    b_minus = _metric_raw(patch, *(xi - e)).b
-    db_ds = (b_plus - b_minus) / (2.0 * h)
-    fs_plus = np.asarray(f.grad(*(xi + e)), dtype=float)[2]
-    fs_minus = np.asarray(f.grad(*(xi - e)), dtype=float)[2]
-    fs = np.asarray(f.grad(*xi), dtype=float)[2]
-    fss = (fs_plus - fs_minus) / (2.0 * h)
-    return db_ds / md.b * fs + fss
+    xi, b, h, nb = _stencil(patch, pt)
+    bn, fs_n = _metric_at(patch, nb[2]).b, _on(f.grad, nb[2])[..., 2]
+    db_ds = (bn[0] - bn[1]) / (2.0 * h)
+    fss = (fs_n[0] - fs_n[1]) / (2.0 * h)
+    return db_ds / b * _on(f.grad, xi)[..., 2] + fss
 
 
 def cartesian_scalar_field(patch: SurfacePatch, value, grad) -> ChartScalarField:
@@ -344,20 +361,14 @@ def cartesian_scalar_field(patch: SurfacePatch, value, grad) -> ChartScalarField
     chart: the chart partials are J^T (grad F)(x(xi)), exact."""
 
     def chart_value(s1, s2, s):
-        x = _chart_raw(patch, s1, s2, s)
-        return float(value(x))
+        x = _frame(patch, _stack(s1, s2, s))[0]
+        return _shaped(x.shape[:-1], value(x))
 
     def chart_grad(s1, s2, s):
-        x = _chart_raw(patch, s1, s2, s)
-        J = _jacobian(patch, s1, s2, s)
-        return J.T @ np.asarray(grad(x), dtype=float)
+        x, J = _frame(patch, _stack(s1, s2, s))
+        return (J.mT @ _shaped(x.shape, grad(x))[..., None])[..., 0]
 
     return ChartScalarField(value=chart_value, grad=chart_grad)
-
-
-def _chart_raw(patch: SurfacePatch, s1: float, s2: float, s: float) -> np.ndarray:
-    base = np.array([s1, s2, patch.height(s1, s2)])
-    return base + s * normal(patch, s1, s2)
 
 
 def cartesian_vector_field(patch: SurfacePatch, W) -> ChartVectorField:
@@ -366,25 +377,22 @@ def cartesian_vector_field(patch: SurfacePatch, W) -> ChartVectorField:
     Cartesian divergence of W."""
 
     def components(s1, s2, s):
-        x = _chart_raw(patch, s1, s2, s)
-        J = _jacobian(patch, s1, s2, s)
-        return np.linalg.solve(J, np.asarray(W(x), dtype=float))
+        x, J = _frame(patch, _stack(s1, s2, s))
+        return np.linalg.solve(J, _shaped(x.shape, W(x))[..., None])[..., 0]
 
     return ChartVectorField(components=components)
 
 
 def squared_radius_field(patch: SurfacePatch) -> ChartScalarField:
     """|x|^2 composed with the chart; its Laplacian is exactly 6."""
-    return cartesian_scalar_field(patch, lambda x: float(x @ x), lambda x: 2.0 * x)
+    return cartesian_scalar_field(patch, lambda x: np.vecdot(x, x), lambda x: 2.0 * x)
 
 
 def make_flat_patch(delta: float = 0.2) -> SurfacePatch:
-    z = np.zeros(2)
-    Z = np.zeros((2, 2))
     return make_surface_patch(
         height=lambda s1, s2: 0.0,
-        grad=lambda s1, s2: z,
-        hess=lambda s1, s2: Z,
+        grad=lambda s1, s2: np.zeros(2),
+        hess=lambda s1, s2: np.zeros((2, 2)),
         domain=((-1.0, 1.0), (-1.0, 1.0)),
         delta=delta,
         name="flat",
@@ -395,7 +403,7 @@ def make_paraboloid_patch(curvature: float = 0.5, delta: float = 0.2) -> Surface
     c = float(curvature)
     return make_surface_patch(
         height=lambda s1, s2: c * (s1 * s1 + s2 * s2),
-        grad=lambda s1, s2: np.array([2.0 * c * s1, 2.0 * c * s2]),
+        grad=lambda s1, s2: np.stack([2.0 * c * s1, 2.0 * c * s2], axis=-1),
         hess=lambda s1, s2: np.array([[2.0 * c, 0.0], [0.0, 2.0 * c]]),
         domain=((-1.0, 1.0), (-1.0, 1.0)),
         delta=delta,
@@ -407,7 +415,7 @@ def make_saddle_patch(coeff: float = 0.4, delta: float = 0.2) -> SurfacePatch:
     c = float(coeff)
     return make_surface_patch(
         height=lambda s1, s2: c * s1 * s2,
-        grad=lambda s1, s2: np.array([c * s2, c * s1]),
+        grad=lambda s1, s2: np.stack([c * s2, c * s1], axis=-1),
         hess=lambda s1, s2: np.array([[0.0, c], [c, 0.0]]),
         domain=((-1.0, 1.0), (-1.0, 1.0)),
         delta=delta,
@@ -417,17 +425,18 @@ def make_saddle_patch(coeff: float = 0.4, delta: float = 0.2) -> SurfacePatch:
 
 def make_sinusoidal_patch(amplitude: float = 0.15, delta: float = 0.15) -> SurfacePatch:
     amp = float(amplitude)
+
+    def hess(s1, s2):
+        diag = -np.sin(s1) * np.cos(s2)
+        off = -np.cos(s1) * np.sin(s2)
+        return amp * np.stack([np.stack([diag, off], axis=-1),
+                               np.stack([off, diag], axis=-1)], axis=-2)
+
     return make_surface_patch(
-        height=lambda s1, s2: amp * math.sin(s1) * math.cos(s2),
-        grad=lambda s1, s2: amp * np.array(
-            [math.cos(s1) * math.cos(s2), -math.sin(s1) * math.sin(s2)]
-        ),
-        hess=lambda s1, s2: amp * np.array(
-            [
-                [-math.sin(s1) * math.cos(s2), -math.cos(s1) * math.sin(s2)],
-                [-math.cos(s1) * math.sin(s2), -math.sin(s1) * math.cos(s2)],
-            ]
-        ),
+        height=lambda s1, s2: amp * np.sin(s1) * np.cos(s2),
+        grad=lambda s1, s2: amp * np.stack(
+            [np.cos(s1) * np.cos(s2), -np.sin(s1) * np.sin(s2)], axis=-1),
+        hess=hess,
         domain=((-1.0, 1.0), (-1.0, 1.0)),
         delta=delta,
         name="sinusoidal",

@@ -50,7 +50,6 @@ __all__ = [
     "TrigPoly2D",
     "SchauderSweep",
     "solve_modified_pressure",
-    "recover_raw_pressure",
     "estimate_ratio",
     "weak_normal_trace",
     "random_symmetric_trig_field",
@@ -207,14 +206,6 @@ def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolu
         pde_residual=pde_residual,
         compatibility_defect=abs(rhs_mean) / rhs_scale,
     )
-
-
-def recover_raw_pressure(sol: PressureSolution, u: ChannelField, phi: CutoffProfile) -> ChannelField:
-    """p = P - phi * u2^2 on the channel grid."""
-    if u.grid != sol.P.grid:
-        raise ValueError("velocity and pressure grids differ")
-    phi_y = phi.on_grid(u.grid)
-    return ChannelField(u.grid, sol.P.values[0] - u.values[1] ** 2 * phi_y[None, :])
 
 
 def estimate_ratio(sol: PressureSolution, u: ChannelField, alpha: float) -> float:

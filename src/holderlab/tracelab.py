@@ -117,17 +117,6 @@ class TestFunction:
         """The constant test function with unit integral."""
         return TestFunction((0.5,))
 
-    @staticmethod
-    def mean_one_with_modes(extra: dict) -> "TestFunction":
-        """Unit-integral test function plus prescribed cosine modes."""
-        top = max(extra) if extra else 0
-        cc = [0.5] + [0.0] * top
-        for m, v in extra.items():
-            if m < 1:
-                raise ValueError("extra modes must have m >= 1")
-            cc[m] = float(v)
-        return TestFunction(tuple(cc))
-
 
 def _pair_coupling(theta: TestFunction, k1: int, k2: int) -> float:
     """Exact x-integral of cos(2^k1 pi x) cos(2^k2 pi x) theta(x)."""

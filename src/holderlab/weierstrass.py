@@ -19,7 +19,6 @@ exact.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "stream_field",
     "truncation_error_bound",
     "holder_constant_bound",
-    "divergence_residual",
     "field_divergence_residual",
 ]
 
@@ -127,6 +125,12 @@ def field_divergence_residual(u: ChannelField) -> float:
     x-differences wrap periodically; y-differences use the interior rows
     only.  This is the plain second-order residual used for convergence
     studies, not the exact-pairing operator of the mollifier module.
+
+    Each lacunary term carries the same frequency in x and y, so its
+    centered x- and y-differences cancel exactly whenever hx == hy: on
+    square cells the residual of a sampled lacunary flow sits at the
+    rounding floor.  Convergence-order studies must use hx != hy (for
+    example ny = nx/4 + 1 on period 2) to see the second-order remainder.
     """
     if u.components != 2:
         raise ValueError("expected a two-component velocity field")
@@ -136,27 +140,3 @@ def field_divergence_residual(u: ChannelField) -> float:
     ddy = (u2[:, 2:] - u2[:, :-2]) / (2.0 * g.hy)
     div = ddx[:, 1:-1] + ddy
     return float(np.max(np.abs(div)))
-
-
-def divergence_residual(p: WeierstrassParams, grid: ChannelGrid) -> float:
-    """Centered-difference divergence residual of the sampled velocity.
-
-    Warns (and still computes) when nx is too coarse for the top
-    retained mode; on dyadic grids the unresolved terms collapse to
-    exact zeros at the nodes, so the result is still meaningful.
-
-    Each term carries the same frequency in x and y, so its centered
-    x- and y-differences cancel exactly whenever hx == hy: on square
-    cells the residual sits at the rounding floor instead of the usual
-    O(h^2 4^N) truncation level.  Convergence-order studies must use
-    hx != hy (for example ny = nx/4 + 1 on period 2) to see the genuine
-    second-order remainder.
-    """
-    if grid.nx < 2 ** (p.n_terms + 2):
-        warnings.warn(
-            f"nx={grid.nx} under-resolves the top mode 2**{p.n_terms}; "
-            "sampled field is a coarser effective truncation",
-            UserWarning,
-            stacklevel=2,
-        )
-    return field_divergence_residual(velocity_field(p, grid))

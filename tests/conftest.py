@@ -72,6 +72,62 @@ def field_csv_by_loops(field: ChannelField, path) -> None:
                     w.writerow([f"{xs[i]:.17g}", f"{ys[j]:.17g}", c, f"{vals[i, j]:.17g}"])
 
 
+def read_field_csv(path) -> ChannelField:
+    """Rebuild a field from a ``write_field_csv`` dump: component-major,
+    then y outer, x inner; the x period is nx times the node spacing."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows[0] != ["x", "y", "component", "value"]:
+        raise ValueError(f"unexpected header {rows[0]}")
+    x, y, comp, vals = np.array(rows[1:], dtype=float).T
+    xs, ys = np.unique(x), np.unique(y)
+    grid = ChannelGrid(nx=xs.size, ny=ys.size, x_period=(xs[1] - xs[0]) * xs.size,
+                       y_extent=ys[-1])
+    values = vals.reshape(int(comp.max()) + 1, ys.size, xs.size).transpose(0, 2, 1)
+    return ChannelField(grid, values)
+
+
+def normal_jacobian_by_point(patch, sigma1: float, sigma2: float) -> np.ndarray:
+    """3x2 matrix of d n / d sigma_j at one chart point, column by column."""
+    g = np.asarray(patch.grad(sigma1, sigma2), dtype=float)
+    H = np.asarray(patch.hess(sigma1, sigma2), dtype=float)
+    w = math.sqrt(1.0 + g[0] * g[0] + g[1] * g[1])
+    nvec = np.array([g[0], g[1], -1.0]) / w
+    dn = np.zeros((3, 2))
+    for j in range(2):
+        dw = float(g @ H[:, j]) / w
+        dn[:2, j] = H[:, j] / w
+        dn[:, j] -= nvec * (dw / w)
+    return dn
+
+
+def chart_by_point(patch, s1: float, s2: float, s: float) -> np.ndarray:
+    """Chart position y(sigma) + s n(sigma) of one point."""
+    g = np.asarray(patch.grad(s1, s2), dtype=float)
+    w = math.sqrt(1.0 + g[0] * g[0] + g[1] * g[1])
+    base = np.array([s1, s2, patch.height(s1, s2)])
+    return base + s * (np.array([g[0], g[1], -1.0]) / w)
+
+
+def jacobian_by_point(patch, s1: float, s2: float, s: float) -> np.ndarray:
+    """Chart Jacobian of one point, filled column by column."""
+    g = np.asarray(patch.grad(s1, s2), dtype=float)
+    w = math.sqrt(1.0 + g[0] * g[0] + g[1] * g[1])
+    dn = normal_jacobian_by_point(patch, s1, s2)
+    J = np.empty((3, 3))
+    J[:, 0] = np.array([1.0, 0.0, g[0]]) + s * dn[:, 0]
+    J[:, 1] = np.array([0.0, 1.0, g[1]]) + s * dn[:, 1]
+    J[:, 2] = np.array([g[0], g[1], -1.0]) / w
+    return J
+
+
+def metric_by_point(patch, s1: float, s2: float, s: float):
+    """(J, a_inv, b) of one point through one-point det and inv."""
+    J = jacobian_by_point(patch, s1, s2, s)
+    Jinv = np.linalg.inv(J)
+    return J, Jinv @ Jinv.T, abs(np.linalg.det(J))
+
+
 def fit_slope(xs, ys) -> float:
     """Plain least-squares slope."""
     xs = np.asarray(xs, dtype=float)

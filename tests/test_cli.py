@@ -63,6 +63,16 @@ def test_geometry_verify_single_patch(tmp_path):
     assert run("geometry-verify", "--patch", "torus", "--out", str(tmp_path)) == 2
 
 
+def test_geometry_verify_does_not_report_an_inner_key_error_as_unknown_patch(
+        tmp_path, monkeypatch):
+    def broken(name):
+        raise KeyError("residual")
+
+    monkeypatch.setattr(cli.acceptance, "patch_identity_residuals", broken)
+    with pytest.raises(KeyError, match="residual"):
+        run("geometry-verify", "--patch", "flat", "--out", str(tmp_path))
+
+
 def test_mollify_report_outputs(tmp_path):
     code = run("mollify-report", "--nx", "64", "--ny", "129", "--n-terms", "6",
                "--epsilons", "0.1,0.05,0.025", "--out", str(tmp_path))

@@ -21,11 +21,16 @@ from holderlab.fields import (
     estimate_holder_exponent,
     holder_quotient,
     modulus_of_continuity,
-    read_field_csv,
     write_field_csv,
 )
 
-from conftest import brute_force_modulus, brute_force_seminorm, field_csv_by_loops, roll_shift_max
+from conftest import (
+    brute_force_modulus,
+    brute_force_seminorm,
+    field_csv_by_loops,
+    read_field_csv,
+    roll_shift_max,
+)
 
 
 def _linear_in_y(nx=256, ny=129):

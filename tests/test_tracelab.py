@@ -46,7 +46,7 @@ def test_test_function_basics():
     assert theta.mean == 1.0
     assert theta.moment(0) == 1.0
     assert theta.moment(5) == 0.0
-    rich = TestFunction.mean_one_with_modes({2: 0.25, 11: -1.5})
+    rich = TestFunction((0.5, 0.0, 0.25) + (0.0,) * 8 + (-1.5,))
     assert rich.mean == 1.0
     assert rich.moment(2) == 0.25
     assert rich.moment(11) == -1.5
@@ -64,7 +64,7 @@ def test_test_function_basics():
 
 def test_eval_trace_vanishes_on_walls():
     p = WeierstrassParams(alpha=0.5, n_terms=12)
-    theta = TestFunction.mean_one_with_modes({3: 1.0})
+    theta = TestFunction((0.5, 0.0, 0.0, 1.0))
     assert eval_trace(p, theta, 0.0) == 0.0
     assert eval_trace(p, theta, 1.0) == 0.0
 
@@ -183,7 +183,7 @@ def test_boundary_mean_zero_theta_converges():
 
 
 def test_boundary_quotients_scale_linearly_in_theta():
-    theta = TestFunction.mean_one_with_modes({2: 0.3, 5: -0.2})
+    theta = TestFunction((0.5, 0.0, 0.3, 0.0, 0.0, -0.2))
     p = WeierstrassParams(0.4, 20)
     rep1 = dyadic_quotients_boundary(p, theta, 12)
     rep2 = dyadic_quotients_boundary(p, theta.scaled(2.0), 12)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from holderlab.fields import ChannelField, ChannelGrid, modulus_of_continuity
 from holderlab.weierstrass import (
     WeierstrassParams,
-    divergence_residual,
     eval_stream,
     eval_velocity,
     field_divergence_residual,
@@ -144,7 +142,7 @@ def test_sampling_truncates_fine_modes_exactly():
 
 def test_divergence_residual_single_mode():
     g = ChannelGrid(256, 129)
-    r = divergence_residual(WeierstrassParams(alpha=0.5, n_terms=0), g)
+    r = field_divergence_residual(velocity_field(WeierstrassParams(alpha=0.5, n_terms=0), g))
     assert r <= 1e-3
 
 
@@ -152,7 +150,7 @@ def test_divergence_residual_square_cells_cancel_exactly():
     # equal x- and y-frequencies per term make the centered differences
     # cancel identically when hx == hy; the residual is rounding noise
     g = ChannelGrid(1024, 513)
-    r = divergence_residual(WeierstrassParams(alpha=0.5, n_terms=3), g)
+    r = field_divergence_residual(velocity_field(WeierstrassParams(alpha=0.5, n_terms=3), g))
     assert r <= 1e-12
 
 
@@ -161,7 +159,7 @@ def test_divergence_residual_second_order_on_anisotropic_cells():
     residuals = []
     for nx in (256, 512, 1024):
         g = ChannelGrid(nx, nx // 4 + 1)  # hy = 2 hx: no exact pairing
-        residuals.append(divergence_residual(p, g))
+        residuals.append(field_divergence_residual(velocity_field(p, g)))
     slopes = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     for s in slopes:
         assert abs(s - 2.0) <= 0.2
@@ -171,12 +169,6 @@ def test_divergence_residual_constant_flow_exact_zero():
     g = ChannelGrid(64, 33)
     u = ChannelField(g, np.stack([np.ones((64, 33)), np.zeros((64, 33))]))
     assert field_divergence_residual(u) == 0.0
-
-
-def test_divergence_residual_warns_when_under_resolved():
-    g = ChannelGrid(64, 33)
-    with pytest.warns(UserWarning, match="under-resolves"):
-        divergence_residual(WeierstrassParams(alpha=0.5, n_terms=5), g)
 
 
 def test_stream_velocity_fd_consistency_within_remainder_bound():
