@@ -122,7 +122,7 @@ def cmd_weierstrass_scan(params: dict, out: Path) -> int:
     for n_terms in terms:
         p = WeierstrassParams(alpha=float(params["alpha"]), n_terms=n_terms)
         u = velocity_field(p, grid)
-        u2 = ChannelField(grid, u.values[1])
+        u2 = ChannelField._adopt(grid, u.values[1:2])
         est = holder_quotient(u2, p.alpha, *c_alpha_norm_scales(grid))
         rows.append({
             "n_terms": n_terms,

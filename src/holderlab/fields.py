@@ -109,19 +109,39 @@ class ChannelGrid:
         return j
 
 
+class _Owned:
+    """A buffer handed over by :meth:`ChannelField._adopt`."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True)
 class ChannelField:
     """One- or two-component node samples on a :class:`ChannelGrid`.
 
     values has shape (components, nx, ny) and is frozen after
     construction so fields can be shared across threads safely.
+
+    The constructor copies the array it is given, so the caller's array
+    stays writable and later changes to it never reach the field.  The
+    package's own builders (the samplers, the solvers, the mollifier)
+    allocate a fresh buffer per field and hand it over through
+    :meth:`_adopt`, which validates and freezes that buffer in place:
+    no copy, and no writable reference left behind.
     """
 
     grid: ChannelGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        owned = isinstance(self.values, _Owned)
+        v = np.asarray(self.values.array if owned else self.values, dtype=float)
+        if owned:
+            # frozen before any reshape, so no writable base stays behind
+            v.flags.writeable = False
         if v.ndim == 2:
             v = v[None, :, :]
         if v.ndim != 3 or v.shape[0] not in (1, 2):
@@ -130,9 +150,19 @@ class ChannelField:
             raise ValueError(
                 f"values shape {v.shape[1:]} does not match grid ({self.grid.nx}, {self.grid.ny})"
             )
-        v = v.copy()
-        v.flags.writeable = False
+        if not owned:
+            v = v.copy()
+            v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _adopt(cls, grid: ChannelGrid, values: np.ndarray) -> "ChannelField":
+        """A field on ``values`` itself, validated and frozen without a copy.
+
+        For buffers the caller allocated for this field and does not keep
+        writing to; a view of a frozen field's values qualifies too.
+        """
+        return cls(grid, _Owned(values))
 
     @property
     def components(self) -> int:
@@ -147,7 +177,8 @@ class ChannelField:
         X, Y = grid.meshgrid()
         out = fn(X, Y)
         if isinstance(out, tuple):
-            return cls(grid, np.stack([np.asarray(o, dtype=float) for o in out]))
+            return cls._adopt(grid, np.stack([np.asarray(o, dtype=float) for o in out]))
+        # a single array may be one the caller holds, so it is copied
         return cls(grid, np.asarray(out, dtype=float))
 
 

@@ -146,10 +146,11 @@ def stream_from_velocity(u: ChannelField) -> tuple[ChannelField, float]:
     check_tangential(u)
     grid = u.grid
     u1, u2 = u.values[0], u.values[1]
-    omega = spectral_dx(u2, grid) - _ddy(u1, grid.hy)
+    omega = spectral_dx(u2, grid)
+    omega -= _ddy(u1, grid.hy)
     psi = solve_poisson(omega, grid, "dirichlet")
     mean_flux = float(np.trapezoid(np.mean(u1, axis=0), dx=grid.hy))
-    return ChannelField(grid, psi[None, :, :]), mean_flux
+    return ChannelField._adopt(grid, psi), mean_flux
 
 
 def odd_extend(psi: ChannelField, margin: float = 0.25) -> ExtendedStream:
@@ -209,15 +210,21 @@ def mollify_stream(psi_ext: ExtendedStream, m: Mollifier) -> ChannelField:
             f"{psi_ext.margin}"
         )
     w, ax, ay = _kernel_weights(m, grid)
-    mrows = psi_ext.margin_rows
-    out = np.zeros((grid.nx, grid.ny))
+    mrows, nx = psi_ext.margin_rows, grid.nx
+    out = np.zeros((nx, grid.ny))
+    tap = np.empty_like(out)
     for b in range(-ay, ay + 1):
         col = psi_ext.values[:, mrows - b:mrows - b + grid.ny]
         for a in range(-ax, ax + 1):
             weight = w[a + ax, b + ay]
             if weight == 0.0:
                 continue
-            out += weight * np.roll(col, a, axis=0)
+            # tap = weight * (col shifted down a rows, x periodic): rows
+            # [s:] take col[:nx-s], the wrapped rows [:s] take col[nx-s:]
+            s = a % nx
+            np.multiply(col[:nx - s], weight, out=tap[s:])
+            np.multiply(col[nx - s:], weight, out=tap[:s])
+            out += tap
     wall_worst = max(np.max(np.abs(out[:, 0])), np.max(np.abs(out[:, -1])))
     if wall_worst > 1e-12:
         raise ValueError(
@@ -225,7 +232,7 @@ def mollify_stream(psi_ext: ExtendedStream, m: Mollifier) -> ChannelField:
         )
     out[:, 0] = 0.0
     out[:, -1] = 0.0
-    return ChannelField(grid, out[None, :, :])
+    return ChannelField._adopt(grid, out)
 
 
 def velocity_from_stream(psi_eps: ChannelField, mean_flux: float) -> ChannelField:
@@ -234,9 +241,11 @@ def velocity_from_stream(psi_eps: ChannelField, mean_flux: float) -> ChannelFiel
         raise ValueError("expected a scalar stream field")
     grid = psi_eps.grid
     vals = psi_eps.values[0]
-    u1 = _ddy(vals, grid.hy) + mean_flux
-    u2 = -spectral_dx(vals, grid)
-    return ChannelField(grid, np.stack([u1, u2]))
+    u = np.empty((2, grid.nx, grid.ny))
+    u[0] = _ddy(vals, grid.hy)
+    u[0] += mean_flux
+    np.negative(spectral_dx(vals, grid), out=u[1])
+    return ChannelField._adopt(grid, u)
 
 
 def max_discrete_divergence(u: ChannelField) -> float:

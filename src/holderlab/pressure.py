@@ -135,7 +135,8 @@ class PressureSolution:
 def _dy_odd(vals: np.ndarray, hy: float) -> np.ndarray:
     """Centered y-derivative; walls use odd-reflection ghosts."""
     out = np.empty_like(vals)
-    out[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2.0 * hy)
+    mid = np.subtract(vals[:, 2:], vals[:, :-2], out=out[:, 1:-1])
+    mid /= 2.0 * hy
     out[:, 0] = vals[:, 1] / hy
     out[:, -1] = -vals[:, -2] / hy
     return out
@@ -144,7 +145,11 @@ def _dy_odd(vals: np.ndarray, hy: float) -> np.ndarray:
 def _dyy_even(vals: np.ndarray, hy: float) -> np.ndarray:
     """Centered second y-derivative; walls use even-reflection ghosts."""
     out = np.empty_like(vals)
-    out[:, 1:-1] = (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]) / hy**2
+    # (v[j+1] - 2 v[j] + v[j-1]) / hy^2, evaluated in that order
+    mid = np.multiply(vals[:, 1:-1], 2.0, out=out[:, 1:-1])
+    np.subtract(vals[:, 2:], mid, out=mid)
+    mid += vals[:, :-2]
+    mid /= hy**2
     out[:, 0] = 2.0 * (vals[:, 1] - vals[:, 0]) / hy**2
     out[:, -1] = 2.0 * (vals[:, -2] - vals[:, -1]) / hy**2
     return out
@@ -161,46 +166,59 @@ def _channel_mean(vals: np.ndarray, grid: ChannelGrid) -> float:
     return float(np.mean(vals, axis=0) @ z / z.sum())
 
 
-def _assemble_rhs(u: ChannelField, phi_y: np.ndarray) -> np.ndarray:
+def _assemble_rhs(u: ChannelField, G: np.ndarray) -> np.ndarray:
+    """d_i d_j (u_i u_j) - lap(G), summed left to right into one array.
+
+    G = phi * u2^2.  Each product and each derivative is dropped as soon
+    as it has been used, so the sum is the only grid array that lives
+    through the whole assembly.
+    """
     grid = u.grid
     u1, u2 = u.values[0], u.values[1]
-    q11 = u1 * u1
-    q12 = u1 * u2
-    q22 = u2 * u2
-    G = q22 * phi_y[None, :]
-    return (
-        spectral_dxx(q11, grid)
-        + 2.0 * spectral_dx(_dy_odd(q12, grid.hy), grid)
-        + _dyy_even(q22, grid.hy)
-        - spectral_dxx(G, grid)
-        - _dyy_even(G, grid.hy)
-    )
+    rhs = spectral_dxx(u1 * u1, grid)
+    term = spectral_dx(_dy_odd(u1 * u2, grid.hy), grid)
+    term *= 2.0
+    rhs += term
+    del term
+    rhs += _dyy_even(u2 * u2, grid.hy)
+    rhs -= spectral_dxx(G, grid)
+    rhs -= _dyy_even(G, grid.hy)
+    return rhs
 
 
 def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolution:
-    """Solve the Neumann problem for the modified pressure."""
+    """Solve the Neumann problem for the modified pressure.
+
+    The diagnostics reuse the right-hand side and the Laplacian of P in
+    place, and p is written over G = phi * u2^2 once G's mean is taken.
+    """
     check_tangential(u)
     grid = u.grid
-    phi_y = phi.on_grid(grid)
-    G = u.values[1] ** 2 * phi_y[None, :]
-    rhs = _assemble_rhs(u, phi_y)
+    u2 = u.values[1]
+    G = u2 * u2
+    G *= phi.on_grid(grid)[None, :]
+    rhs = _assemble_rhs(u, G)
     P = solve_poisson(rhs, grid, "neumann")
 
     rhs_scale = max(float(np.max(np.abs(rhs))), 1e-300)
     rhs_mean = _channel_mean(rhs, grid)
-    lap = spectral_dxx(P, grid) + _dyy_even(P, grid.hy)
-    pde_residual = float(np.max(np.abs(lap + (rhs - rhs_mean)))) / rhs_scale
+    lap = spectral_dxx(P, grid)
+    lap += _dyy_even(P, grid.hy)
+    rhs -= rhs_mean
+    lap += rhs
+    pde_residual = float(np.abs(lap, out=lap).max()) / rhs_scale
 
-    P = P + (_channel_mean(G, grid) - _channel_mean(P, grid))
-    p_vals = P - G
+    G_mean = _channel_mean(G, grid)
+    P += G_mean - _channel_mean(P, grid)
+    p_vals = np.subtract(P, G, out=G)
     neumann = max(
         float(np.max(np.abs(P[:, 1] - P[:, 0]))),
         float(np.max(np.abs(P[:, -1] - P[:, -2]))),
     ) / grid.hy
-    mean_res = abs(_channel_mean(P, grid) - _channel_mean(G, grid))
+    mean_res = abs(_channel_mean(P, grid) - G_mean)
     return PressureSolution(
-        P=ChannelField(grid, P),
-        p=ChannelField(grid, p_vals),
+        P=ChannelField._adopt(grid, P),
+        p=ChannelField._adopt(grid, p_vals),
         mean_constraint_residual=mean_res,
         neumann_residual=neumann,
         pde_residual=pde_residual,
@@ -315,13 +333,14 @@ class SchauderSweep:
 def solve_schauder_problem(F11: TrigPoly2D, F12: TrigPoly2D, F22: TrigPoly2D,
                            grid: ChannelGrid) -> ChannelField:
     """Solve lap(v) = d_i d_j F_ij with v = 0 at the walls."""
-    f11, f12, f22 = F11.sample(grid), F12.sample(grid), F22.sample(grid)
-    rhs = (
-        spectral_dxx(f11, grid)
-        + 2.0 * spectral_dx(_dy_odd(f12, grid.hy), grid)
-        + _dyy_even(f22, grid.hy)
-    )
-    return ChannelField(grid, solve_poisson(-rhs, grid, "dirichlet"))
+    rhs = spectral_dxx(F11.sample(grid), grid)
+    term = spectral_dx(_dy_odd(F12.sample(grid), grid.hy), grid)
+    term *= 2.0
+    rhs += term
+    del term
+    rhs += _dyy_even(F22.sample(grid), grid.hy)
+    np.negative(rhs, out=rhs)
+    return ChannelField._adopt(grid, solve_poisson(rhs, grid, "dirichlet"))
 
 
 def dirichlet_schauder_check(

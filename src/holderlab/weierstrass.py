@@ -57,32 +57,41 @@ class WeierstrassParams:
             raise ValueError("n_terms > 60 exceeds exact dyadic range")
 
 
-def eval_velocity(p: WeierstrassParams, x, y):
-    """Velocity components (u1, u2) at point(s) (x, y)."""
+def eval_velocity(p: WeierstrassParams, x, y) -> np.ndarray:
+    """Velocity at point(s) (x, y) as one array of shape (2, ...); unpack
+    it as ``u1, u2``.
+
+    Each term's product is formed in one scratch array and added into
+    the result, so the sum costs one temporary of the broadcast shape.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    u1 = np.zeros(np.broadcast(x, y).shape)
-    u2 = np.zeros_like(u1)
+    shape = np.broadcast(x, y).shape
+    u = np.zeros((2,) + shape)
+    u1, u2 = u[0, ...], u[1, ...]
+    term = np.empty(shape)
     for k in range(p.n_terms + 1):
         freq = float(2**k)
         w = 2.0 ** (-p.alpha * k)
         sx, cx = sinpi_array(freq * x), cospi_array(freq * x)
         sy, cy = sinpi_array(freq * y), cospi_array(freq * y)
-        u1 -= w * sx * cy
-        u2 += w * cx * sy
-    return u1, u2
+        u1 -= np.multiply(w * sx, cy, out=term)
+        u2 += np.multiply(w * cx, sy, out=term)
+    return u
 
 
-def eval_stream(p: WeierstrassParams, x, y):
+def eval_stream(p: WeierstrassParams, x, y) -> np.ndarray:
     """Stream function value(s) at (x, y); u = (d_y psi, -d_x psi)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(x, y).shape)
+    term = np.empty_like(out)
     for k in range(p.n_terms + 1):
         freq = float(2**k)
         w = 2.0 ** (-(p.alpha + 1.0) * k)
-        out -= w * sinpi_array(freq * x) * sinpi_array(freq * y)
-    return out / math.pi
+        out -= np.multiply(w * sinpi_array(freq * x), sinpi_array(freq * y), out=term)
+    out /= math.pi
+    return out
 
 
 def velocity_field(p: WeierstrassParams, grid: ChannelGrid) -> ChannelField:
@@ -91,13 +100,12 @@ def velocity_field(p: WeierstrassParams, grid: ChannelGrid) -> ChannelField:
     The axes are passed as a column and a row, so the trig factors are
     evaluated on the 1-D axes and broadcast into the grid.
     """
-    u1, u2 = eval_velocity(p, grid.x[:, None], grid.y[None, :])
-    return ChannelField(grid, np.stack([u1, u2]))
+    return ChannelField._adopt(grid, eval_velocity(p, grid.x[:, None], grid.y[None, :]))
 
 
 def stream_field(p: WeierstrassParams, grid: ChannelGrid) -> ChannelField:
     """Sample the stream function on a grid (axes broadcast as above)."""
-    return ChannelField(grid, eval_stream(p, grid.x[:, None], grid.y[None, :]))
+    return ChannelField._adopt(grid, eval_stream(p, grid.x[:, None], grid.y[None, :]))
 
 
 def truncation_error_bound(p: WeierstrassParams) -> float:
@@ -135,8 +143,15 @@ def field_divergence_residual(u: ChannelField) -> float:
     if u.components != 2:
         raise ValueError("expected a two-component velocity field")
     g = u.grid
-    u1, u2 = u.values
-    ddx = (np.roll(u1, -1, axis=0) - np.roll(u1, 1, axis=0)) / (2.0 * g.hx)
-    ddy = (u2[:, 2:] - u2[:, :-2]) / (2.0 * g.hy)
-    div = ddx[:, 1:-1] + ddy
-    return float(np.max(np.abs(div)))
+    u1, u2 = u.values[0][:, 1:-1], u.values[1]
+    # u1[i+1] - u1[i-1] with x periodic: the interior rows, then the two
+    # wrapped ones
+    div = np.empty_like(u1)
+    np.subtract(u1[2:], u1[:-2], out=div[1:-1])
+    np.subtract(u1[1], u1[-1], out=div[0])
+    np.subtract(u1[0], u1[-2], out=div[-1])
+    div /= 2.0 * g.hx
+    ddy = u2[:, 2:] - u2[:, :-2]
+    ddy /= 2.0 * g.hy
+    div += ddy
+    return float(np.abs(div, out=div).max())

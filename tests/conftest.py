@@ -13,6 +13,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from holderlab.fields import ChannelField, ChannelGrid
+from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx
 
 
 def roll_shift_max(vals: np.ndarray, di: int, dj: int) -> float:
@@ -175,3 +176,93 @@ def banded_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
         band[2, -2] = -2.0 * inv_h2
         u_hat[m] = solve_banded((1, 1), band, rhs_hat[m])
     return np.fft.irfft(u_hat, n=grid.nx, axis=0)
+
+
+# ------------------------------------------------------------ modified pressure
+# The Neumann solve written as whole-array expressions, one new array per
+# operation.  The library accumulates the same operations in place, in the
+# same order, so the two agree bit for bit.
+
+
+def dy_odd_by_expression(vals: np.ndarray, hy: float) -> np.ndarray:
+    out = np.empty_like(vals)
+    out[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2.0 * hy)
+    out[:, 0] = vals[:, 1] / hy
+    out[:, -1] = -vals[:, -2] / hy
+    return out
+
+
+def dyy_even_by_expression(vals: np.ndarray, hy: float) -> np.ndarray:
+    out = np.empty_like(vals)
+    out[:, 1:-1] = (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]) / hy**2
+    out[:, 0] = 2.0 * (vals[:, 1] - vals[:, 0]) / hy**2
+    out[:, -1] = 2.0 * (vals[:, -2] - vals[:, -1]) / hy**2
+    return out
+
+
+def _trapezoid_mean(vals: np.ndarray) -> float:
+    z = np.ones(vals.shape[1])
+    z[0] = z[-1] = 0.5
+    return float(np.mean(vals, axis=0) @ z / z.sum())
+
+
+def rhs_by_expression(u: ChannelField, phi_y: np.ndarray) -> np.ndarray:
+    grid = u.grid
+    u1, u2 = u.values[0], u.values[1]
+    q11, q12, q22 = u1 * u1, u1 * u2, u2 * u2
+    G = q22 * phi_y[None, :]
+    return (
+        spectral_dxx(q11, grid)
+        + 2.0 * spectral_dx(dy_odd_by_expression(q12, grid.hy), grid)
+        + dyy_even_by_expression(q22, grid.hy)
+        - spectral_dxx(G, grid)
+        - dyy_even_by_expression(G, grid.hy)
+    )
+
+
+def modified_pressure_by_expression(u: ChannelField, phi) -> dict:
+    """P, p and the four residuals of the modified-pressure solve."""
+    grid = u.grid
+    phi_y = phi.on_grid(grid)
+    G = u.values[1] ** 2 * phi_y[None, :]
+    rhs = rhs_by_expression(u, phi_y)
+    P = solve_poisson(rhs, grid, "neumann")
+    rhs_scale = max(float(np.max(np.abs(rhs))), 1e-300)
+    rhs_mean = _trapezoid_mean(rhs)
+    lap = spectral_dxx(P, grid) + dyy_even_by_expression(P, grid.hy)
+    pde_residual = float(np.max(np.abs(lap + (rhs - rhs_mean)))) / rhs_scale
+    P = P + (_trapezoid_mean(G) - _trapezoid_mean(P))
+    neumann = max(
+        float(np.max(np.abs(P[:, 1] - P[:, 0]))),
+        float(np.max(np.abs(P[:, -1] - P[:, -2]))),
+    ) / grid.hy
+    return {
+        "P": P,
+        "p": P - G,
+        "mean_constraint_residual": abs(_trapezoid_mean(P) - _trapezoid_mean(G)),
+        "neumann_residual": neumann,
+        "pde_residual": pde_residual,
+        "compatibility_defect": abs(rhs_mean) / rhs_scale,
+    }
+
+
+def mollify_by_roll(ext: np.ndarray, w: np.ndarray, margin_rows: int, ny: int) -> np.ndarray:
+    """Kernel taps summed through whole-array np.roll copies (x periodic),
+    column offset outer, row offset inner; walls not pinned."""
+    ax, ay = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
+    out = np.zeros((ext.shape[0], ny))
+    for b in range(-ay, ay + 1):
+        col = ext[:, margin_rows - b:margin_rows - b + ny]
+        for a in range(-ax, ax + 1):
+            if w[a + ax, b + ay] != 0.0:
+                out += w[a + ax, b + ay] * np.roll(col, a, axis=0)
+    return out
+
+
+def divergence_residual_by_roll(u: ChannelField) -> float:
+    """Interior max |centred divergence|, x-differences through np.roll."""
+    g = u.grid
+    u1, u2 = u.values
+    ddx = (np.roll(u1, -1, axis=0) - np.roll(u1, 1, axis=0)) / (2.0 * g.hx)
+    ddy = (u2[:, 2:] - u2[:, :-2]) / (2.0 * g.hy)
+    return float(np.max(np.abs(ddx[:, 1:-1] + ddy)))

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from holderlab import cli
+from holderlab import cli, mollify
 from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.mollify import (
     make_mollifier,
@@ -18,6 +20,8 @@ from holderlab.mollify import (
     velocity_from_stream,
 )
 from holderlab.weierstrass import WeierstrassParams, stream_field, velocity_field
+
+from conftest import mollify_by_roll
 
 
 def constant_flow(grid, speed=1.0):
@@ -218,3 +222,24 @@ def test_report_serialization(tmp_path):
     payload = json.loads((tmp_path / "mollify_report.json").read_text())
     assert payload["epsilons"] == [0.1, 0.05, 0.025]
     assert payload["max_wall_residual"] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(5, 65),
+    epsilon=st.floats(0.02, 0.19),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tap_loop_matches_the_roll_oracle_bitwise(log2_nx, ny, epsilon, seed):
+    # the shifted slices wrap across the periodic seam for every row offset
+    grid = ChannelGrid(2**log2_nx, ny)
+    psi = np.random.default_rng(seed).standard_normal((grid.nx, ny))
+    psi[:, 0] = psi[:, -1] = 0.0
+    ext = odd_extend(ChannelField(grid, psi))
+    m = make_mollifier(epsilon)
+    got = mollify_stream(ext, m).values[0]
+    w, _, _ = mollify._kernel_weights(m, grid)
+    want = mollify_by_roll(ext.values, w, ext.margin_rows, ny)
+    assert got[:, 1:-1].tobytes() == want[:, 1:-1].tobytes()
+    assert np.all(got[:, [0, -1]] == 0.0)

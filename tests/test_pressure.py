@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holderlab import acceptance, cli
+from holderlab import acceptance, cli, pressure
 from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.pressure import (
     CutoffProfile,
@@ -18,6 +20,13 @@ from holderlab.pressure import (
 )
 from holderlab.tracelab import TestFunction
 from holderlab.weierstrass import WeierstrassParams, velocity_field
+
+from conftest import (
+    dy_odd_by_expression,
+    dyy_even_by_expression,
+    modified_pressure_by_expression,
+    rhs_by_expression,
+)
 
 PHI = CutoffProfile(delta=0.2)
 THETA = TestFunction.mean_one()
@@ -343,3 +352,33 @@ def test_diagnostics_json_schema(tmp_path):
         "pde_residual", "neumann_residual", "mean_residual", "ratio", "defect",
     }
     assert payload["mean_residual"] < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(3, 129),
+    delta=st.floats(0.01, 0.24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_in_place_solve_matches_the_expression_oracle_bitwise(log2_nx, ny, delta, seed):
+    # a random tangential field: u2 vanishes on both walls, nothing else
+    # is smooth or symmetric
+    grid = ChannelGrid(2**log2_nx, ny)
+    vals = np.random.default_rng(seed).standard_normal((2, grid.nx, ny))
+    vals[1, :, 0] = vals[1, :, -1] = 0.0
+    u = ChannelField(grid, vals)
+    phi = CutoffProfile(delta=delta)
+    u1, hy = u.values[0], grid.hy
+    assert pressure._dy_odd(u1, hy).tobytes() == dy_odd_by_expression(u1, hy).tobytes()
+    assert pressure._dyy_even(u1, hy).tobytes() == dyy_even_by_expression(u1, hy).tobytes()
+    phi_y = phi.on_grid(grid)
+    G = u.values[1] ** 2 * phi_y[None, :]
+    assert pressure._assemble_rhs(u, G).tobytes() == rhs_by_expression(u, phi_y).tobytes()
+    sol = solve_modified_pressure(u, phi)
+    want = modified_pressure_by_expression(u, phi)
+    assert sol.P.values[0].tobytes() == want["P"].tobytes()
+    assert sol.p.values[0].tobytes() == want["p"].tobytes()
+    for name in ("mean_constraint_residual", "neumann_residual", "pde_residual",
+                 "compatibility_defect"):
+        assert getattr(sol, name) == want[name], name

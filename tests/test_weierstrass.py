@@ -21,6 +21,8 @@ from holderlab.weierstrass import (
     velocity_field,
 )
 
+from conftest import divergence_residual_by_roll
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -204,3 +206,15 @@ def test_stream_velocity_fd_consistency_is_second_order():
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for s in slopes:
         assert abs(s - 2.0) <= 0.2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(3, 65),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_divergence_residual_matches_the_roll_oracle_bitwise(log2_nx, ny, seed):
+    g = ChannelGrid(2**log2_nx, ny)
+    u = ChannelField(g, np.random.default_rng(seed).standard_normal((2, g.nx, ny)))
+    assert field_divergence_residual(u) == divergence_residual_by_roll(u)
