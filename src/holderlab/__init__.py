@@ -23,7 +23,7 @@ from .geometry import (
     TubularPoint,
     make_surface_patch,
 )
-from .mollify import make_mollifier, mollification_report
+from .mollify import Mollifier, mollification_report
 from .pressure import (
     CutoffProfile,
     dirichlet_schauder_check,
@@ -46,6 +46,7 @@ __all__ = [
     "ChannelField",
     "ChannelGrid",
     "CutoffProfile",
+    "Mollifier",
     "PATCH_BUILDERS",
     "SurfacePatch",
     "TestFunction",
@@ -58,7 +59,6 @@ __all__ = [
     "estimate_holder_exponent",
     "estimate_ratio",
     "holder_quotient",
-    "make_mollifier",
     "make_surface_patch",
     "modulus_of_continuity",
     "mollification_report",

@@ -415,11 +415,17 @@ def estimate_holder_exponent(f: ChannelField, h_list) -> HolderEstimate:
                           fit_r2=r2, h_min=hs[0], h_max=hs[-1])
 
 
+def _wall_max(vals: np.ndarray) -> float:
+    """max |vals| over the wall rows y = 0 and y = 1 (the first and last
+    index of the last axis)."""
+    return float(max(np.max(np.abs(vals[..., 0])), np.max(np.abs(vals[..., -1]))))
+
+
 def check_tangential(u: ChannelField) -> None:
     """Raise unless u is a 2-component velocity with u2 = 0 (to 1e-8) on both walls."""
     if u.components != 2:
         raise ValueError("expected a 2-component velocity field")
-    worst = max(np.max(np.abs(u.values[1, :, 0])), np.max(np.abs(u.values[1, :, -1])))
+    worst = _wall_max(u.values[1])
     if worst > _WALL_TANGENCY_TOL:
         raise ValueError(
             f"velocity is not tangential at the walls (max |u2| = {worst:.3e})"

@@ -57,27 +57,15 @@ __all__ = [
 ]
 
 
-def _bridge(t: float) -> tuple[float, float, float]:
-    """Smooth 0-to-1 bridge S(t) = B(t)/(B(t)+B(1-t)), B = exp(-1/t),
-    with first and second derivatives."""
+def _bridge(t: float) -> float:
+    """Smooth 0-to-1 bridge S(t) = B(t)/(B(t)+B(1-t)), B = exp(-1/t)."""
 
     def B(s):
         return math.exp(-1.0 / s) if s > 0.0 else 0.0
 
-    def B1(s):
-        return B(s) / (s * s) if s > 0.0 else 0.0
-
-    def B2(s):
-        return B(s) * (1.0 / s**4 - 2.0 / s**3) if s > 0.0 else 0.0
-
     b, c = B(t), B(1.0 - t)
-    b1, c1 = B1(t), -B1(1.0 - t)
-    b2, c2 = B2(t), B2(1.0 - t)
     den = b + c
-    s0 = b / den
-    s1 = (b1 * c - b * c1) / den**2
-    s2 = ((b2 * c - b * c2) * den - 2.0 * (b1 * c - b * c1) * (b1 + c1)) / den**3
-    return s0, s1, s2
+    return b / den
 
 
 @dataclass(frozen=True)
@@ -85,8 +73,7 @@ class CutoffProfile:
     """Smooth cutoff of distance to the nearest wall.
 
     Equal to 1 for distance <= delta and 0 for distance >= 2*delta,
-    with an exponential bridge between; value/deriv/second_deriv are
-    analytic in the distance variable.  delta is restricted to
+    with a smooth exponential bridge between.  delta is restricted to
     (0, 0.25) so the two wall collars never meet the midchannel kink
     of the distance function.
     """
@@ -102,17 +89,7 @@ class CutoffProfile:
             return 1.0
         if dist >= 2.0 * self.delta:
             return 0.0
-        return _bridge((2.0 * self.delta - dist) / self.delta)[0]
-
-    def deriv(self, dist: float) -> float:
-        if dist <= self.delta or dist >= 2.0 * self.delta:
-            return 0.0
-        return -_bridge((2.0 * self.delta - dist) / self.delta)[1] / self.delta
-
-    def second_deriv(self, dist: float) -> float:
-        if dist <= self.delta or dist >= 2.0 * self.delta:
-            return 0.0
-        return _bridge((2.0 * self.delta - dist) / self.delta)[2] / self.delta**2
+        return _bridge((2.0 * self.delta - dist) / self.delta)
 
     def on_grid(self, grid: ChannelGrid) -> np.ndarray:
         """Profile of min(y, 1-y) along the wall-to-wall coordinate."""

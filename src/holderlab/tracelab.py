@@ -217,14 +217,14 @@ def fit_growth_exponent(n_values, values) -> float:
     return float(np.polyfit(ns, np.log2(vs), 1)[0])
 
 
-def classify_blowup(quotients, n_values, alpha: float) -> str:
+def classify_blowup(quotients, n_values) -> str:
     """Fixed-threshold trichotomy on |quotients| over n_values.
 
     DIVERGES: fitted growth exponent > 0.1 and the last value exceeds
     ten times the first.  CONVERGES_TO_ZERO: exponent < -0.1 or the
     upper-half maximum is below 1e-3.  BOUNDED_NONZERO: |exponent| <=
     0.1 with upper-half minimum >= 0.5, and the fallback when no rule
-    fires.  alpha tags the report; it never affects the thresholds.
+    fires.
     """
     if len(quotients) < 6:
         raise ValueError("need at least six points to classify")
@@ -302,7 +302,7 @@ def dyadic_quotients_boundary(
     bounds = tuple(resonant_lower_bound(p.alpha, n) if 0.0 < p.alpha < 1.0 else math.nan
                    for n in ns)
     exponent = fit_growth_exponent(ns, totals)
-    verdict = classify_blowup(totals, ns, p.alpha) if n_max >= 6 else VERDICT_BOUNDED
+    verdict = classify_blowup(totals, ns) if n_max >= 6 else VERDICT_BOUNDED
     return TraceReport(
         alpha=p.alpha,
         n_values=ns,
@@ -373,7 +373,7 @@ def dyadic_quotients_interior(
     bounds = tuple(interior_lower_bound(p.alpha, m, n) if 0.0 < p.alpha < 1.0 else math.nan
                    for n in ns)
     exponent = fit_growth_exponent(ns, totals)
-    verdict = classify_blowup(totals, ns, p.alpha) if len(ns) >= 6 else VERDICT_BOUNDED
+    verdict = classify_blowup(totals, ns) if len(ns) >= 6 else VERDICT_BOUNDED
     return TraceReport(
         alpha=p.alpha,
         n_values=ns,

@@ -246,6 +246,15 @@ def modified_pressure_by_expression(u: ChannelField, phi) -> dict:
     }
 
 
+def odd_extension_by_concatenation(vals: np.ndarray, rows: int) -> np.ndarray:
+    """vals continued past y = 0 by psi(-y) = -psi(y) and past the top wall
+    by psi(2 - y) = -psi(y), rows columns each side, built by concatenating
+    negated mirror slices."""
+    below = -vals[:, rows:0:-1]
+    above = -vals[:, -2:-2 - rows:-1]
+    return np.concatenate([below, vals, above], axis=1)
+
+
 def mollify_by_roll(ext: np.ndarray, w: np.ndarray, margin_rows: int, ny: int) -> np.ndarray:
     """Kernel taps summed through whole-array np.roll copies (x periodic),
     column offset outer, row offset inner; walls not pinned."""

@@ -120,6 +120,7 @@ def test_pressure_solve_rejects_grids_too_coarse_for_the_norm(tmp_path, flow):
     ("weierstrass-scan", "--alpha", "1.5"),
     ("geometry-verify", "--patch", "torus"),
     ("schauder-check", "--resolutions", "6"),
+    ("mollify-report", "--epsilons", "0.3,0.1,0.05"),
 ])
 def test_rejected_configuration_creates_no_out_dir(tmp_path, argv):
     out = tmp_path / "out"

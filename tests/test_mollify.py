@@ -10,18 +10,16 @@ from scipy.integrate import quad
 from holderlab import cli, mollify
 from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.mollify import (
-    make_mollifier,
+    Mollifier,
     max_discrete_divergence,
     mollification_report,
     mollify_stream,
-    odd_extend,
-    standard_bump_profile,
     stream_from_velocity,
     velocity_from_stream,
 )
 from holderlab.weierstrass import WeierstrassParams, stream_field, velocity_field
 
-from conftest import mollify_by_roll
+from conftest import mollify_by_roll, odd_extension_by_concatenation
 
 
 def constant_flow(grid, speed=1.0):
@@ -30,7 +28,7 @@ def constant_flow(grid, speed=1.0):
 
 
 def test_standard_bump_has_unit_mass():
-    prof = standard_bump_profile()
+    prof = mollify._bump
     integral, _ = quad(lambda r: 2.0 * math.pi * r * prof(r), 0.0, 1.0)
     assert abs(integral - 1.0) < 1e-12
     assert prof(1.0) == 0.0
@@ -38,15 +36,10 @@ def test_standard_bump_has_unit_mass():
     assert prof(0.0) > prof(0.9) > 0.0
 
 
-def test_make_mollifier_validation():
-    with pytest.raises(ValueError, match="positive"):
-        make_mollifier(0.0)
-    with pytest.raises(ValueError, match="integral"):
-        make_mollifier(0.1, profile=lambda r: 1.0 if r < 1.0 else 0.0)
-    with pytest.raises(ValueError, match="vanish"):
-        make_mollifier(0.1, profile=lambda r: 0.3)
-    with pytest.raises(ValueError, match="nonnegative"):
-        make_mollifier(0.1, profile=lambda r: -standard_bump_profile()(r))
+def test_mollifier_validation():
+    for bad in (0.0, -0.1):
+        with pytest.raises(ValueError, match="positive"):
+            Mollifier(bad)
 
 
 def test_stream_of_constant_flow_is_zero_with_unit_flux():
@@ -80,57 +73,60 @@ def test_stream_rejects_wall_normal_flow():
         stream_from_velocity(bad)
 
 
+def _extended_y(grid, rows):
+    return np.arange(-rows, grid.ny + rows) * grid.hy
+
+
 def test_odd_extension_of_parabola():
     grid = ChannelGrid(16, 33)
     ys = grid.y
-    psi = ChannelField(grid, np.broadcast_to(ys * (1.0 - ys), (16, 33)).copy())
-    ext = odd_extend(psi, margin=0.25)
-    ye = ext.y
+    ext = mollify._odd_extend(np.broadcast_to(ys * (1.0 - ys), (16, 33)), 8)
+    ye = _extended_y(grid, 8)
     expect = np.where(
         ye < 0.0,
         ye * (1.0 + ye),
         np.where(ye > 1.0, (ye - 2.0) * (ye - 1.0), ye * (1.0 - ye)),
     )
-    assert np.max(np.abs(ext.values[0] - expect)) == 0.0
+    assert np.max(np.abs(ext - expect)) == 0.0
 
 
 def test_odd_extension_of_odd_mode_is_the_same_mode():
     grid = ChannelGrid(16, 65)
-    psi = ChannelField(grid, np.broadcast_to(np.sin(np.pi * grid.y), (16, 65)).copy())
-    ext = odd_extend(psi, margin=0.25)
-    assert np.max(np.abs(ext.values[0] - np.sin(np.pi * ext.y))) < 1e-13
+    ext = mollify._odd_extend(np.broadcast_to(np.sin(np.pi * grid.y), (16, 65)), 16)
+    assert np.max(np.abs(ext - np.sin(np.pi * _extended_y(grid, 16)))) < 1e-13
 
 
 def test_odd_extension_requires_wall_zeros():
     grid = ChannelGrid(16, 33)
     psi = ChannelField(grid, np.ones((16, 33)))
     with pytest.raises(ValueError, match="wall"):
-        odd_extend(psi)
-
-
-def test_odd_extension_margin_validation():
-    grid = ChannelGrid(16, 33)
-    psi = ChannelField(grid, np.zeros((16, 33)))
-    with pytest.raises(ValueError, match="margin"):
-        odd_extend(psi, margin=1e-4)
-    with pytest.raises(ValueError, match="margin"):
-        odd_extend(psi, margin=2.0)
+        mollify_stream(psi, Mollifier(0.1))
 
 
 def test_mollify_requires_margin_headroom():
-    grid = ChannelGrid(16, 33)
-    psi = ChannelField(grid, np.zeros((16, 33)))
-    ext = odd_extend(psi, margin=0.25)
-    with pytest.raises(ValueError, match="margin"):
-        mollify_stream(ext, make_mollifier(0.3))
+    # the margin is 0.25 rounded to whole rows (8/32 here, 2/7 on 8 rows,
+    # 1/5 on 6) and may not exceed the channel height
+    psi = ChannelField(ChannelGrid(16, 33), np.zeros((16, 33)))
+    with pytest.raises(ValueError, match="margin 0.25"):
+        mollify_stream(psi, Mollifier(0.3))
+    with pytest.raises(ValueError, match="margin 0.25"):
+        mollify_stream(psi, Mollifier(0.25))
+    assert np.all(mollify_stream(psi, Mollifier(0.249)).values == 0.0)
+    psi = ChannelField(ChannelGrid(16, 8), np.zeros((16, 8)))
+    assert np.all(mollify_stream(psi, Mollifier(0.28)).values == 0.0)
+    psi = ChannelField(ChannelGrid(16, 6), np.zeros((16, 6)))
+    with pytest.raises(ValueError, match="margin 0.2"):
+        mollify_stream(psi, Mollifier(0.2))
+    psi = ChannelField(ChannelGrid(16, 5, y_extent=0.2), np.zeros((16, 5)))
+    with pytest.raises(ValueError, match="channel height"):
+        mollify_stream(psi, Mollifier(0.01))
 
 
 def test_mollified_stream_vanishes_at_walls():
     p = WeierstrassParams(alpha=0.5, n_terms=5)
     grid = ChannelGrid(64, 129)
     psi, _ = stream_from_velocity(velocity_field(p, grid))
-    ext = odd_extend(psi)
-    smooth = mollify_stream(ext, make_mollifier(0.05))
+    smooth = mollify_stream(psi, Mollifier(0.05))
     assert np.all(smooth.values[0][:, 0] == 0.0)
     assert np.all(smooth.values[0][:, -1] == 0.0)
 
@@ -138,7 +134,7 @@ def test_mollified_stream_vanishes_at_walls():
 def test_mollify_zero_stream_is_zero():
     grid = ChannelGrid(16, 33)
     psi = ChannelField(grid, np.zeros((16, 33)))
-    out = mollify_stream(odd_extend(psi), make_mollifier(0.1))
+    out = mollify_stream(psi, Mollifier(0.1))
     assert np.all(out.values == 0.0)
 
 
@@ -156,9 +152,8 @@ def test_pipeline_exactness_on_weierstrass():
     grid = ChannelGrid(64, 129)
     u = velocity_field(p, grid)
     psi, flux = stream_from_velocity(u)
-    ext = odd_extend(psi)
     for eps in (0.1, 0.05, 0.025, 0.0125):
-        u_eps = velocity_from_stream(mollify_stream(ext, make_mollifier(eps)), flux)
+        u_eps = velocity_from_stream(mollify_stream(psi, Mollifier(eps)), flux)
         assert np.all(u_eps.values[1][:, 0] == 0.0)
         assert np.all(u_eps.values[1][:, -1] == 0.0)
         assert max_discrete_divergence(u_eps) <= 1e-12
@@ -174,7 +169,7 @@ def test_smooth_mode_error_is_second_order_in_epsilon():
         ),
     )
     eps = [0.1, 0.05, 0.025]
-    rep = mollification_report(u, alpha=0.5, epsilons=eps, betas=[0.0])
+    rep = mollification_report(u, alpha=0.5, epsilons=eps)
     errs = rep.c_beta_errors[0.0]
     slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
     assert abs(slope - 2.0) < 0.4
@@ -184,9 +179,8 @@ def test_report_on_weierstrass_sweep():
     p = WeierstrassParams(alpha=0.5, n_terms=20)
     grid = ChannelGrid(64, 129)
     u = velocity_field(p, grid)
-    rep = mollification_report(
-        u, alpha=0.5, epsilons=[0.1, 0.05, 0.025, 0.0125], betas=[0.0, 0.25]
-    )
+    rep = mollification_report(u, alpha=0.5, epsilons=[0.1, 0.05, 0.025, 0.0125])
+    assert sorted(rep.c_beta_errors) == [0.0, 0.25]
     errs = rep.c_beta_errors[0.25]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     errs0 = rep.c_beta_errors[0.0]
@@ -198,9 +192,7 @@ def test_report_on_weierstrass_sweep():
 
 def test_report_of_constant_flow_is_exact():
     grid = ChannelGrid(32, 65)
-    rep = mollification_report(
-        constant_flow(grid), alpha=0.5, epsilons=[0.1, 0.05, 0.025], betas=[0.0, 0.25]
-    )
+    rep = mollification_report(constant_flow(grid), alpha=0.5, epsilons=[0.1, 0.05, 0.025])
     for errs in rep.c_beta_errors.values():
         assert all(e == 0.0 for e in errs)
     assert all(r == 1.0 for r in rep.norm_ratios)
@@ -236,10 +228,10 @@ def test_tap_loop_matches_the_roll_oracle_bitwise(log2_nx, ny, epsilon, seed):
     grid = ChannelGrid(2**log2_nx, ny)
     psi = np.random.default_rng(seed).standard_normal((grid.nx, ny))
     psi[:, 0] = psi[:, -1] = 0.0
-    ext = odd_extend(ChannelField(grid, psi))
-    m = make_mollifier(epsilon)
-    got = mollify_stream(ext, m).values[0]
+    m = Mollifier(epsilon)
+    got = mollify_stream(ChannelField(grid, psi), m).values[0]
     w, _, _ = mollify._kernel_weights(m, grid)
-    want = mollify_by_roll(ext.values, w, ext.margin_rows, ny)
+    rows = round(0.25 / grid.hy)
+    want = mollify_by_roll(odd_extension_by_concatenation(psi, rows), w, rows, ny)
     assert got[:, 1:-1].tobytes() == want[:, 1:-1].tobytes()
     assert np.all(got[:, [0, -1]] == 0.0)

@@ -15,9 +15,8 @@ import pytest
 
 from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.mollify import (
-    make_mollifier,
+    Mollifier,
     mollify_stream,
-    odd_extend,
     stream_from_velocity,
     velocity_from_stream,
 )
@@ -74,7 +73,7 @@ def _library_fields():
     u = velocity_field(FLOW, GRID)
     sol = solve_modified_pressure(u, CutoffProfile(delta=0.2))
     psi, flux = stream_from_velocity(u)
-    psi_eps = mollify_stream(odd_extend(psi), make_mollifier(0.1))
+    psi_eps = mollify_stream(psi, Mollifier(0.1))
     return {
         "velocity_field": u,
         "stream_field": stream_field(FLOW, GRID),

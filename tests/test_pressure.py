@@ -62,23 +62,8 @@ def test_cutoff_plateau_and_tail_are_exact():
     phi = CutoffProfile(delta=0.2)
     for d in (0.0, 0.1, 0.2):
         assert phi.value(d) == 1.0
-        assert phi.deriv(d) == 0.0
-        assert phi.second_deriv(d) == 0.0
     for d in (0.4, 0.45, 0.5):
         assert phi.value(d) == 0.0
-        assert phi.deriv(d) == 0.0
-        assert phi.second_deriv(d) == 0.0
-
-
-def test_cutoff_derivatives_match_finite_differences():
-    """Analytic bridge derivatives agree with central differences."""
-    phi = CutoffProfile(delta=0.2)
-    h = 1e-6
-    for d in np.linspace(0.201, 0.399, 17):
-        fd1 = (phi.value(d + h) - phi.value(d - h)) / (2.0 * h)
-        assert abs(fd1 - phi.deriv(d)) < 1e-6
-        fd2 = (phi.deriv(d + h) - phi.deriv(d - h)) / (2.0 * h)
-        assert abs(fd2 - phi.second_deriv(d)) < 1e-5
 
 
 def test_cutoff_range_and_monotonicity():

@@ -241,14 +241,14 @@ def test_resonant_lower_bound_never_exceeds_quotient(alpha, n):
 def test_classify_blowup_synthetic():
     ns = list(range(1, 13))
     growing = [2.0 ** (0.5 * n) for n in ns]
-    assert classify_blowup(growing, ns, 0.25) == VERDICT_DIVERGES
-    assert classify_blowup([2.0] * 12, ns, 0.5) == VERDICT_BOUNDED
+    assert classify_blowup(growing, ns) == VERDICT_DIVERGES
+    assert classify_blowup([2.0] * 12, ns) == VERDICT_BOUNDED
     decaying = [2.0**-n for n in ns]
-    assert classify_blowup(decaying, ns, 0.7) == VERDICT_CONVERGES
+    assert classify_blowup(decaying, ns) == VERDICT_CONVERGES
     with pytest.raises(ValueError):
-        classify_blowup([1.0] * 5, ns[:5], 0.5)
+        classify_blowup([1.0] * 5, ns[:5])
     with pytest.raises(ValueError):
-        classify_blowup([1.0] * 7, ns, 0.5)
+        classify_blowup([1.0] * 7, ns)
 
 
 def test_interior_split_matches_direct_difference():
