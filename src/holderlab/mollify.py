@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fields import ChannelField, ChannelGrid, _wall_max, c_alpha_norm, check_tangential
 from .spectral import solve_poisson, spectral_dx
@@ -49,6 +48,10 @@ _BETAS = (0.0, 0.25)
 
 @functools.cache
 def _bump_scale() -> float:
+    # imported here: scipy.integrate costs more to import than the rest of
+    # the package, and only the first mollification needs it
+    from scipy.integrate import quad
+
     integral, _ = quad(lambda r: 2.0 * math.pi * r * math.exp(-1.0 / (1.0 - r * r)),
                        0.0, 1.0)
     return 1.0 / integral
@@ -68,7 +71,7 @@ class Mollifier:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:  # NaN too
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ChannelField, ChannelGrid
+from .fields import ChannelField, ChannelGrid, _blocks, _run_pieces
 from .trig import cospi_array, sinpi_array
 
 __all__ = [
@@ -57,27 +57,71 @@ class WeierstrassParams:
             raise ValueError("n_terms > 60 exceeds exact dyadic range")
 
 
-def eval_velocity(p: WeierstrassParams, x, y) -> np.ndarray:
-    """Velocity at point(s) (x, y) as one array of shape (2, ...); unpack
-    it as ``u1, u2``.
+def _column_and_row(x: np.ndarray, y: np.ndarray) -> bool:
+    """True for the axes of a grid: x a column (nx, 1), y a row (1, ny)."""
+    return x.ndim == y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1
 
-    Each term's product is formed in one scratch array and added into
-    the result, so the sum costs one temporary of the broadcast shape.
+
+def _add_terms(out: np.ndarray, terms, on_grid_axes: bool) -> None:
+    """out[c] = op(out[c], a * b) for each product (c, op, a, b) of each
+    term, in order.
+
+    On a grid's axes (every a a column, every b a row) all terms are
+    built first, on the 1-D axes and on the calling thread; the products
+    then go into x-row blocks of out, every product into one block before
+    the next block, with one block of scratch per piece of the block
+    runner.  Otherwise the terms are added one at a time through one
+    scratch array of out's element shape.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast(x, y).shape
-    u = np.zeros((2,) + shape)
-    u1, u2 = u[0, ...], u[1, ...]
-    term = np.empty(shape)
+    if not on_grid_axes:
+        scratch = np.empty(out.shape[1:])
+        for term in terms:
+            for c, op, a, b in term:
+                op(out[c, ...], np.multiply(a, b, out=scratch), out=out[c, ...])
+        return
+    products = [prod for term in terms for prod in term]
+    nx, ny = out.shape[1:]
+
+    def add(start, stop):
+        blocks = _blocks(start, stop, 8 * ny)
+        scratch = np.empty((blocks[0][1] - blocks[0][0], ny))
+        for a, b in blocks:
+            block, t = out[:, a:b], scratch[:b - a]
+            for c, op, col, row in products:
+                op(block[c], np.multiply(col[a:b], row, out=t), out=block[c])
+
+    _run_pieces(add, nx, out.size)
+
+
+def _velocity_terms(p: WeierstrassParams, x: np.ndarray, y: np.ndarray):
     for k in range(p.n_terms + 1):
         freq = float(2**k)
         w = 2.0 ** (-p.alpha * k)
         sx, cx = sinpi_array(freq * x), cospi_array(freq * x)
         sy, cy = sinpi_array(freq * y), cospi_array(freq * y)
-        u1 -= np.multiply(w * sx, cy, out=term)
-        u2 += np.multiply(w * cx, sy, out=term)
+        yield (0, np.subtract, w * sx, cy), (1, np.add, w * cx, sy)
+
+
+def eval_velocity(p: WeierstrassParams, x, y) -> np.ndarray:
+    """Velocity at point(s) (x, y) as one array of shape (2, ...); unpack
+    it as ``u1, u2``.
+
+    Each term's product is formed in scratch and added into the result:
+    on a grid's axes (x a column, y a row) in x-row blocks, otherwise one
+    term at a time in one temporary of the broadcast shape.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    u = np.zeros((2,) + np.broadcast(x, y).shape)
+    _add_terms(u, _velocity_terms(p, x, y), _column_and_row(x, y))
     return u
+
+
+def _stream_terms(p: WeierstrassParams, x: np.ndarray, y: np.ndarray):
+    for k in range(p.n_terms + 1):
+        freq = float(2**k)
+        w = 2.0 ** (-(p.alpha + 1.0) * k)
+        yield ((0, np.subtract, w * sinpi_array(freq * x), sinpi_array(freq * y)),)
 
 
 def eval_stream(p: WeierstrassParams, x, y) -> np.ndarray:
@@ -85,11 +129,7 @@ def eval_stream(p: WeierstrassParams, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(x, y).shape)
-    term = np.empty_like(out)
-    for k in range(p.n_terms + 1):
-        freq = float(2**k)
-        w = 2.0 ** (-(p.alpha + 1.0) * k)
-        out -= np.multiply(w * sinpi_array(freq * x), sinpi_array(freq * y), out=term)
+    _add_terms(out[None], _stream_terms(p, x, y), _column_and_row(x, y))
     out /= math.pi
     return out
 

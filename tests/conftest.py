@@ -6,14 +6,29 @@ library code is checked against an independent route.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 
 import numpy as np
+import pytest
 from scipy.linalg import solve_banded
 
+from holderlab import fields
 from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx
+
+
+@contextlib.contextmanager
+def block_partition(block_bytes: int, cpus: int):
+    """Run the grid kernels on every array, however small, in blocks of
+    block_bytes of scratch and in ``cpus`` pieces (more than this machine
+    may have is fine: the pool queues them)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(fields, "_CPUS", cpus)
+        mp.setattr(fields, "_PARALLEL_NODES", 0)
+        yield
 
 
 def roll_shift_max(vals: np.ndarray, di: int, dj: int) -> float:

@@ -116,15 +116,17 @@ def test_pressure_solve_rejects_grids_too_coarse_for_the_norm(tmp_path, flow):
     assert (out / "pressure_solve.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("weierstrass-scan", "--alpha", "1.5"),
-    ("geometry-verify", "--patch", "torus"),
-    ("schauder-check", "--resolutions", "6"),
-    ("mollify-report", "--epsilons", "0.3,0.1,0.05"),
-])
-def test_rejected_configuration_creates_no_out_dir(tmp_path, argv):
+@pytest.mark.parametrize("argv, message", [
+    (("weierstrass-scan", "--alpha", "1.5"), "alpha must lie in (0, 1]"),
+    (("geometry-verify", "--patch", "torus"), "unknown patch"),
+    (("schauder-check", "--resolutions", "6"), "nx must be a power of two"),
+    (("mollify-report", "--epsilons", "0.3,0.1,0.05"), "does not fit"),
+    (("mollify-report", "--epsilons", "nan,0.1,0.05"), "epsilon must be positive, got nan"),
+], ids=[f"argv{i}" for i in range(5)])
+def test_rejected_configuration_creates_no_out_dir(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

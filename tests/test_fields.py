@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from holderlab.fields import (
 )
 
 from conftest import (
+    block_partition,
     brute_force_modulus,
     brute_force_seminorm,
     field_csv_by_loops,
@@ -261,17 +264,53 @@ def test_c_alpha_norm_of_zero_field_needs_no_scan():
 )
 def test_shift_maxima_matches_the_roll_oracle(log2_nx, ny, components, seed, data):
     # shifts across the periodic seam, pure-y shifts and shifts with no
-    # y-overlap all take part
+    # y-overlap all take part, on partitions from one whole block on the
+    # calling thread to several blocks in up to three uneven pieces
     nx = 2**log2_nx
     shifts = data.draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(-ny, ny)),
                                 min_size=1, max_size=8))
+    block_bytes = data.draw(st.sampled_from([8, 8 * ny, 3 * 8 * ny, 1 << 20]))
+    cpus = data.draw(st.integers(1, 3))
     vals = np.random.default_rng(seed).standard_normal((components, nx, ny))
-    got = fields._shift_maxima(vals, shifts)
+    with block_partition(block_bytes, cpus):
+        got = fields._shift_maxima(vals, shifts)
+        scalar = fields._shift_maxima(vals[0], shifts)
     assert got.shape == (len(shifts), components)
     for k, (di, dj) in enumerate(shifts):
         for c in range(components):
             assert got[k, c] == roll_shift_max(vals[c], di, dj)
-    assert np.array_equal(fields._shift_maxima(vals[0], shifts), got[:, 0])
+    assert np.array_equal(scalar, got[:, 0])
+
+
+def test_concurrent_callers_share_the_block_runner():
+    # more calling threads than cores, each scanning through three pieces
+    # of one-row blocks with a short switch interval: every scan still
+    # equals the one made alone
+    rng = np.random.default_rng(7)
+    arrays = [rng.standard_normal((2, 32, 9)) for _ in range(6)]
+    shifts = [(1, 0), (0, 1), (5, -3), (31, 8), (16, 0)]
+    with block_partition(8 * 2 * 9, 3):
+        alone = [fields._shift_maxima(a, shifts) for a in arrays]
+        results = {}
+
+        def caller(i):
+            for _ in range(20):
+                results.setdefault(i, []).append(fields._shift_maxima(arrays[i], shifts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(arrays))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(alone):
+        assert len(results[i]) == 20
+        assert all(np.array_equal(got, want) for got in results[i])
 
 
 def test_each_estimator_makes_one_scan(monkeypatch):

@@ -4,6 +4,8 @@ The public constructor copies; the package's builders hand their own
 buffer over without a copy and leave nothing writable behind.  The
 memory guards count traced allocation in grid arrays (nx * ny float64)
 so that a copy or a whole-array temporary coming back fails a test.
+The sampler and scan guards run on a grid of many x-row blocks in two
+pieces, so that their scratch is a block per piece on any machine.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holderlab.fields import ChannelField, ChannelGrid
+from holderlab import fields
+from holderlab.fields import ChannelField, ChannelGrid, holder_quotient
 from holderlab.mollify import (
     Mollifier,
     mollify_stream,
@@ -25,7 +28,8 @@ from holderlab.weierstrass import WeierstrassParams, stream_field, velocity_fiel
 
 GRID = ChannelGrid(16, 17)
 FLOW = WeierstrassParams(alpha=0.5, n_terms=4)
-TALL = ChannelGrid(128, 1025)  # the memory guards' grid
+TALL = ChannelGrid(128, 1025)  # the solve's memory guard grid
+WIDE = ChannelGrid(1024, 1025)  # the samplers' and the scan's: 16 blocks
 
 
 def frozen_to_the_base(a: np.ndarray) -> bool:
@@ -93,9 +97,9 @@ def test_every_library_built_field_is_read_only():
             f.values[0, 0, 0] = 1.0
 
 
-def _traced_peak_arrays(fn, *args) -> float:
+def _traced_peak_arrays(grid, fn, *args) -> float:
     """Peak traced allocation of one call above what was live before it,
-    in grid arrays of TALL."""
+    in grid arrays of ``grid``."""
     fn(*args)  # first call: module-level caches are not the call's cost
     tracemalloc.start()
     try:
@@ -105,16 +109,35 @@ def _traced_peak_arrays(fn, *args) -> float:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (peak - before) / (TALL.nx * TALL.ny * 8)
+    return (peak - before) / (grid.nx * grid.ny * 8)
 
 
-def test_velocity_sampling_peak_memory():
-    # the result (2 arrays) and one scratch array for a term's product
-    assert _traced_peak_arrays(velocity_field, WeierstrassParams(0.25, 8), TALL) <= 4.0
+@pytest.fixture
+def two_pieces(monkeypatch):
+    assert WIDE.nx * WIDE.ny >= fields._PARALLEL_NODES
+    assert WIDE.nx >= 8 * (fields._BLOCK_BYTES // (8 * WIDE.ny))  # many blocks a piece
+    monkeypatch.setattr(fields, "_CPUS", 2)
+
+
+def test_velocity_sampling_peak_memory(two_pieces):
+    # the result (2 arrays) and one block of scratch per piece
+    assert _traced_peak_arrays(WIDE, velocity_field, WeierstrassParams(0.25, 8), WIDE) <= 2.25
+
+
+def test_stream_sampling_peak_memory(two_pieces):
+    # the result and one block of scratch per piece
+    assert _traced_peak_arrays(WIDE, stream_field, WeierstrassParams(0.25, 8), WIDE) <= 1.25
+
+
+def test_holder_scan_peak_memory(two_pieces):
+    # one block of differences per piece, no whole-array temporary
+    u2 = ChannelField._adopt(WIDE, velocity_field(WeierstrassParams(0.25, 8), WIDE).values[1])
+    assert _traced_peak_arrays(WIDE, holder_quotient, u2, 0.25, 4.0 * WIDE.hx, 0.25) <= 0.25
 
 
 def test_modified_pressure_solve_peak_memory():
     # P, G (which becomes p), the RHS and at most one product, one
     # derivative and one spectral buffer at a time
     u = velocity_field(WeierstrassParams(0.25, 8), TALL)
-    assert _traced_peak_arrays(solve_modified_pressure, u, CutoffProfile(delta=0.2)) <= 6.0
+    assert _traced_peak_arrays(TALL, solve_modified_pressure, u,
+                               CutoffProfile(delta=0.2)) <= 6.0

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holderlab.fields import ChannelGrid
 from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx, x_wavenumbers
 
-from conftest import banded_poisson
+from conftest import banded_poisson, block_partition
 
 
 def test_x_derivatives_of_a_trig_polynomial():
@@ -96,3 +97,53 @@ def test_solve_poisson_rejects_unknown_bc():
     grid = ChannelGrid(nx=8, ny=9)
     with pytest.raises(ValueError, match="bc"):
         solve_poisson(np.zeros((8, 9)), grid, "periodic")
+
+
+def _whole_array_dx(vals, grid):
+    hat = np.fft.rfft(vals, axis=0)
+    hat *= 1j * x_wavenumbers(grid)[:, None]
+    hat[-1] = 0.0
+    return np.fft.irfft(hat, n=grid.nx, axis=0)
+
+
+def _whole_array_dxx(vals, grid):
+    hat = np.fft.rfft(vals, axis=0)
+    hat *= -(x_wavenumbers(grid)[:, None] ** 2)
+    return np.fft.irfft(hat, n=grid.nx, axis=0)
+
+
+def _whole_array_poisson(rhs, grid, bc):
+    """solve_poisson's steps with each x-FFT on the whole array at once."""
+    rows, fwd, inv, m0 = ((slice(1, -1), scipy.fft.dst, scipy.fft.idst, 1) if bc == "dirichlet"
+                          else (slice(None), scipy.fft.dct, scipy.fft.idct, 0))
+    hat = fwd(np.fft.rfft(rhs[:, rows], axis=0), type=1, axis=1)
+    m = np.arange(m0, grid.ny - m0)
+    symbol = x_wavenumbers(grid)[:, None] ** 2 + (
+        (2.0 / grid.hy) * np.sin(0.5 * math.pi * m / (grid.ny - 1))) ** 2
+    if bc == "neumann":
+        hat[0, 0] = 0.0
+        symbol[0, 0] = 1.0
+    u = np.zeros((grid.nx, grid.ny))
+    u[:, rows] = np.fft.irfft(inv(hat / symbol, type=1, axis=1), n=grid.nx, axis=0)
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    cpus=st.integers(1, 3),
+)
+def test_column_pieces_match_whole_array_ffts_bitwise(log2_nx, ny, seed, cpus):
+    # one to three uneven column pieces, against each x-FFT taken on the
+    # whole array at once
+    grid = ChannelGrid(nx=2**log2_nx, ny=ny)
+    vals = np.random.default_rng(seed).standard_normal((grid.nx, ny))
+    with block_partition(8, cpus):
+        got = [spectral_dx(vals, grid), spectral_dxx(vals, grid)] + [
+            solve_poisson(vals, grid, bc) for bc in ("dirichlet", "neumann")]
+    want = [_whole_array_dx(vals, grid), _whole_array_dxx(vals, grid)] + [
+        _whole_array_poisson(vals, grid, bc) for bc in ("dirichlet", "neumann")]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()

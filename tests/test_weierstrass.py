@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holderlab import fields, trig, weierstrass
 from holderlab.fields import ChannelField, ChannelGrid, modulus_of_continuity
 from holderlab.weierstrass import (
     WeierstrassParams,
@@ -21,7 +23,7 @@ from holderlab.weierstrass import (
     velocity_field,
 )
 
-from conftest import divergence_residual_by_roll
+from conftest import block_partition, divergence_residual_by_roll
 
 
 def test_params_validation():
@@ -69,17 +71,66 @@ def test_stream_single_term_value():
     ny=st.integers(min_value=3, max_value=70),
     alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     n_terms=st.integers(min_value=0, max_value=20),
+    block_bytes=st.sampled_from([8, 16 * 70, 1 << 20]),
+    cpus=st.integers(min_value=1, max_value=3),
 )
-def test_grid_samplers_match_pointwise_evaluation_bitwise(log2_nx, ny, alpha, n_terms):
-    # the grid samplers (axes broadcast) against the pointwise series
-    # evaluated on the full meshgrid: same samples, bit for bit
+def test_grid_samplers_match_pointwise_evaluation_bitwise(log2_nx, ny, alpha, n_terms,
+                                                         block_bytes, cpus):
+    # the grid samplers (axes broadcast, added in x-row blocks over one to
+    # three uneven pieces) against the pointwise series evaluated on the
+    # full meshgrid: same samples, bit for bit
     g = ChannelGrid(2**log2_nx, ny)
     p = WeierstrassParams(alpha=alpha, n_terms=n_terms)
     X, Y = g.meshgrid()
-    u = velocity_field(p, g).values
+    with block_partition(block_bytes, cpus):
+        u = velocity_field(p, g).values
+        psi = stream_field(p, g).values[0]
     assert u.tobytes() == np.stack(eval_velocity(p, X, Y)).tobytes()
-    psi = stream_field(p, g).values[0]
     assert psi.tobytes() == eval_stream(p, X, Y).tobytes()
+
+
+def test_package_functions_stay_on_the_calling_thread(monkeypatch):
+    # the block runner's pieces run numpy only: every traced package
+    # function runs on the caller's thread, and velocity_field evaluates
+    # the series once on the whole grid
+    grid = ChannelGrid(512, 513)
+    assert grid.nx * grid.ny >= fields._PARALLEL_NODES
+    monkeypatch.setattr(fields, "_CPUS", 2)
+    calls = []
+
+    def recorded(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, threading.get_ident(), args))
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((trig, "sinpi_array"), (trig, "cospi_array"),
+                         (weierstrass, "sinpi_array"), (weierstrass, "cospi_array"),
+                         (weierstrass, "eval_velocity"), (weierstrass, "eval_stream")):
+        recorded(module, name)
+    pieces = []
+    run_pieces = weierstrass._run_pieces
+
+    def recorded_pieces(fn, n, nodes):
+        def piece(a, b):
+            pieces.append(threading.get_ident())
+            return fn(a, b)
+        return run_pieces(piece, n, nodes)
+
+    monkeypatch.setattr(weierstrass, "_run_pieces", recorded_pieces)
+    p = WeierstrassParams(alpha=0.3, n_terms=3)
+    velocity_field(p, grid)
+    stream_field(p, grid)
+    caller = threading.get_ident()
+    assert {ident for _, ident, _ in calls} == {caller}
+    assert caller in pieces and len(set(pieces)) > 1  # the pool ran pieces too
+    series = [(name, args) for name, _, args in calls if name.startswith("eval_")]
+    assert [name for name, _ in series] == ["eval_velocity", "eval_stream"]
+    for _, (_, x, y) in series:
+        assert np.array_equal(x, grid.x[:, None]) and np.array_equal(y, grid.y[None, :])
 
 
 def test_truncation_error_bound_values():
