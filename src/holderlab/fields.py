@@ -15,14 +15,14 @@ separation h; ``holder_quotient`` and ``c_alpha_norm`` ask for the
 dyadic separations {h_max, h_max/2, ...} along the same directions, so
 the cost stays O(nx*ny*log) per call.
 
-The grid kernels (this scan, the lacunary samplers of
-:mod:`holderlab.weierstrass` and the x-FFTs of :mod:`holderlab.spectral`)
-split their index range into one contiguous piece per CPU this process
-may use and run the pieces on a thread pool made on first use; arrays
-under ``_PARALLEL_NODES`` nodes run as one piece on the calling thread.
-The pieces run numpy only, and each result element is computed by the
-same operations whatever the partition, so results do not depend on the
-core count.
+The grid kernels (this scan and the lacunary samplers of
+:mod:`holderlab.weierstrass`) split their index range into one contiguous
+piece per CPU this process may use and run the pieces on a thread pool
+made on first use; arrays under ``_PARALLEL_NODES`` nodes run as one piece
+on the calling thread.  The pieces run numpy only, and each result element
+is computed by the same operations whatever the partition, so results do
+not depend on the core count.  The ``scipy.fft`` transforms of
+:mod:`holderlab.spectral` take their ``workers`` by the same size rule.
 
 ``estimate_holder_exponent`` regresses per-scale oscillations taken at
 node displacements of exactly (h,0), (0,h), (h,h) and (h,-h).  Exact

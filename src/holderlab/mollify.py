@@ -98,7 +98,7 @@ def stream_from_velocity(u: ChannelField) -> tuple[ChannelField, float]:
     omega = spectral_dx(u2, grid)
     omega -= _ddy(u1, grid.hy)
     psi = solve_poisson(omega, grid, "dirichlet")
-    mean_flux = float(np.trapezoid(np.mean(u1, axis=0), dx=grid.hy))
+    mean_flux = float(np.trapezoid(np.mean(u1, axis=0), dx=grid.hy)) / grid.y_extent
     return ChannelField._adopt(grid, psi), mean_flux
 
 

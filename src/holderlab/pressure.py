@@ -143,21 +143,24 @@ def _channel_mean(vals: np.ndarray, grid: ChannelGrid) -> float:
     return float(np.mean(vals, axis=0) @ z / z.sum())
 
 
-def _assemble_rhs(u: ChannelField, G: np.ndarray) -> np.ndarray:
-    """d_i d_j (u_i u_j) - lap(G), summed left to right into one array.
-
-    G = phi * u2^2.  Each product and each derivative is dropped as soon
-    as it has been used, so the sum is the only grid array that lives
-    through the whole assembly.
-    """
-    grid = u.grid
-    u1, u2 = u.values[0], u.values[1]
-    rhs = spectral_dxx(u1 * u1, grid)
-    term = spectral_dx(_dy_odd(u1 * u2, grid.hy), grid)
+def _double_divergence(F11, F12, F22, grid: ChannelGrid) -> np.ndarray:
+    """d_x d_x F11 + 2 d_x d_y F12 + d_y d_y F22, summed left to right.  Each
+    F is a thunk called when its term needs it, so that only the sum and one
+    term's arrays are alive at a time."""
+    rhs = spectral_dxx(F11(), grid)
+    term = spectral_dx(_dy_odd(F12(), grid.hy), grid)
     term *= 2.0
     rhs += term
     del term
-    rhs += _dyy_even(u2 * u2, grid.hy)
+    rhs += _dyy_even(F22(), grid.hy)
+    return rhs
+
+
+def _assemble_rhs(u: ChannelField, G: np.ndarray) -> np.ndarray:
+    """d_i d_j (u_i u_j) - lap(G), G = phi * u2^2, summed left to right."""
+    grid = u.grid
+    u1, u2 = u.values[0], u.values[1]
+    rhs = _double_divergence(lambda: u1 * u1, lambda: u1 * u2, lambda: u2 * u2, grid)
     rhs -= spectral_dxx(G, grid)
     rhs -= _dyy_even(G, grid.hy)
     return rhs
@@ -310,12 +313,8 @@ class SchauderSweep:
 def solve_schauder_problem(F11: TrigPoly2D, F12: TrigPoly2D, F22: TrigPoly2D,
                            grid: ChannelGrid) -> ChannelField:
     """Solve lap(v) = d_i d_j F_ij with v = 0 at the walls."""
-    rhs = spectral_dxx(F11.sample(grid), grid)
-    term = spectral_dx(_dy_odd(F12.sample(grid), grid.hy), grid)
-    term *= 2.0
-    rhs += term
-    del term
-    rhs += _dyy_even(F22.sample(grid), grid.hy)
+    rhs = _double_divergence(lambda: F11.sample(grid), lambda: F12.sample(grid),
+                             lambda: F22.sample(grid), grid)
     np.negative(rhs, out=rhs)
     return ChannelField._adopt(grid, solve_poisson(rhs, grid, "dirichlet"))
 

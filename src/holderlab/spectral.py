@@ -15,8 +15,8 @@ transform (Hockney, J. ACM 12, 1965):
 So -lap(u) = rhs is solved by an x-FFT, one y-transform, a division by
 k_x^2 plus the y-eigenvalue, and the two inverse transforms.  The x-FFT
 goes first, which measured slightly faster than the other order on tall
-grids and lets the inverse x-FFT write straight into the output.  The
-x-FFTs run in column pieces of the block runner in :mod:`holderlab.fields`.
+grids.  Every transform is one ``scipy.fft`` call; its ``workers`` follow
+the block runner's size rule, and no 1-D transform depends on them.
 """
 
 from __future__ import annotations
@@ -26,44 +26,42 @@ import math
 import numpy as np
 import scipy.fft
 
-from .fields import ChannelGrid, _run_pieces
+from . import fields
+from .fields import ChannelGrid
 
 __all__ = ["x_wavenumbers", "spectral_dx", "spectral_dxx", "solve_poisson"]
 
 
 def x_wavenumbers(grid: ChannelGrid) -> np.ndarray:
     """Angular wavenumbers of the rfft modes along x."""
-    return 2.0 * math.pi * np.fft.rfftfreq(grid.nx, d=grid.hx)
+    return 2.0 * math.pi * scipy.fft.rfftfreq(grid.nx, d=grid.hx)
 
 
-def _x_fft(fft, src: np.ndarray, out: np.ndarray, **kwargs) -> np.ndarray:
-    """fft(src, axis=0, out=out) run in column pieces of the block runner;
-    each column's transform is the same whatever the partition."""
-    _run_pieces(lambda a, b: fft(src[:, a:b], axis=0, out=out[:, a:b], **kwargs),
-                src.shape[1], src.size)
-    return out
+def _workers(a: np.ndarray) -> int:
+    """scipy.fft workers for a: every usable CPU for a large array, else 1."""
+    return fields._CPUS if a.size >= fields._PARALLEL_NODES else 1
 
 
-def _x_spectrum(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    """The rfft of vals along x into a new half-spectrum."""
-    return _x_fft(np.fft.rfft, vals, np.empty((grid.nx // 2 + 1, vals.shape[1]), complex))
+def _x_derivative(vals: np.ndarray, grid: ChannelGrid, order: int) -> np.ndarray:
+    """The first or second x-derivative: rfft, times the symbol, irfft."""
+    k = x_wavenumbers(grid)[:, None]
+    hat = scipy.fft.rfft(vals, axis=0, workers=_workers(vals))
+    if order == 1:
+        hat *= 1j * k
+        hat[-1] = 0.0
+    else:
+        hat *= -(k**2)
+    return scipy.fft.irfft(hat, grid.nx, axis=0, overwrite_x=True, workers=_workers(hat))
 
 
 def spectral_dx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """First x-derivative by FFT; the Nyquist mode (nx is even) is dropped."""
-    k = x_wavenumbers(grid)
-    hat = _x_spectrum(vals, grid)
-    hat *= 1j * k[:, None]
-    hat[-1] = 0.0
-    return _x_fft(np.fft.irfft, hat, np.empty(vals.shape), n=grid.nx)
+    return _x_derivative(vals, grid, 1)
 
 
 def spectral_dxx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """Second x-derivative by FFT."""
-    k = x_wavenumbers(grid)
-    hat = _x_spectrum(vals, grid)
-    hat *= -(k[:, None] ** 2)
-    return _x_fft(np.fft.irfft, hat, np.empty(vals.shape), n=grid.nx)
+    return _x_derivative(vals, grid, 2)
 
 
 def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
@@ -84,7 +82,9 @@ def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
     else:
         raise ValueError(f"bc must be 'dirichlet' or 'neumann', got {bc!r}")
     ny = grid.ny
-    hat = forward(_x_spectrum(rhs[:, rows], grid), type=1, axis=1, overwrite_x=True)
+    hat = scipy.fft.rfft(rhs[:, rows], axis=0, workers=_workers(rhs[:, rows]))
+    workers = _workers(hat)
+    hat = forward(hat, type=1, axis=1, overwrite_x=True, workers=workers)
     m = np.arange(m0, ny - m0)
     symbol = x_wavenumbers(grid)[:, None] ** 2 + (
         (2.0 / grid.hy) * np.sin(0.5 * math.pi * m / (ny - 1))) ** 2
@@ -93,6 +93,6 @@ def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
         symbol[0, 0] = 1.0
     hat /= symbol
     del symbol  # free it before the inverse transforms allocate
-    u = np.zeros((grid.nx, ny))
-    _x_fft(np.fft.irfft, inverse(hat, type=1, axis=1, overwrite_x=True), u[:, rows], n=grid.nx)
-    return u
+    hat = inverse(hat, type=1, axis=1, overwrite_x=True, workers=workers)
+    u = scipy.fft.irfft(hat, grid.nx, axis=0, overwrite_x=True, workers=workers)
+    return u if bc == "neumann" else np.pad(u, ((0, 0), (1, 1)))

@@ -49,6 +49,15 @@ def test_stream_of_constant_flow_is_zero_with_unit_flux():
     assert flux == 1.0
 
 
+@pytest.mark.parametrize("y_extent", [0.5, 1.0, 2.0])
+def test_flux_is_the_mean_of_u1_on_any_channel_height(y_extent):
+    grid = ChannelGrid(32, 65, y_extent=y_extent)
+    u = constant_flow(grid, speed=1.5)
+    psi, flux = stream_from_velocity(u)
+    assert flux == 1.5
+    assert np.array_equal(velocity_from_stream(psi, flux).values, u.values)
+
+
 def test_stream_of_zero_flow():
     grid = ChannelGrid(32, 33)
     zero = ChannelField(grid, np.zeros((2, 32, 33)))

@@ -18,6 +18,7 @@ from holderlab.pressure import (
     solve_schauder_problem,
     weak_normal_trace,
 )
+from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx
 from holderlab.tracelab import TestFunction
 from holderlab.weierstrass import WeierstrassParams, velocity_field
 
@@ -367,3 +368,23 @@ def test_in_place_solve_matches_the_expression_oracle_bitwise(log2_nx, ny, delta
     for name in ("mean_constraint_residual", "neumann_residual", "pde_residual",
                  "compatibility_defect"):
         assert getattr(sol, name) == want[name], name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log2_nx=st.integers(2, 7),
+    ny=st.integers(3, 65),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_schauder_solve_matches_the_expression_oracle_bitwise(log2_nx, ny, seed):
+    grid = ChannelGrid(2**log2_nx, ny)
+    F11, F12, F22 = random_symmetric_trig_field(seed)
+    f11, f12, f22 = (F.sample(grid) for F in (F11, F12, F22))
+    rhs = (
+        spectral_dxx(f11, grid)
+        + 2.0 * spectral_dx(dy_odd_by_expression(f12, grid.hy), grid)
+        + dyy_even_by_expression(f22, grid.hy)
+    )
+    want = solve_poisson(-rhs, grid, "dirichlet")
+    got = solve_schauder_problem(F11, F12, F22, grid)
+    assert got.values[0].tobytes() == want.tobytes()

@@ -10,6 +10,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holderlab import fields
 from holderlab.fields import ChannelGrid
 from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx, x_wavenumbers
 
@@ -113,7 +114,7 @@ def _whole_array_dxx(vals, grid):
 
 
 def _whole_array_poisson(rhs, grid, bc):
-    """solve_poisson's steps with each x-FFT on the whole array at once."""
+    """solve_poisson's steps with numpy's x-FFTs and one-worker y-transforms."""
     rows, fwd, inv, m0 = ((slice(1, -1), scipy.fft.dst, scipy.fft.idst, 1) if bc == "dirichlet"
                           else (slice(None), scipy.fft.dct, scipy.fft.idct, 0))
     hat = fwd(np.fft.rfft(rhs[:, rows], axis=0), type=1, axis=1)
@@ -135,9 +136,8 @@ def _whole_array_poisson(rhs, grid, bc):
     seed=st.integers(0, 2**32 - 1),
     cpus=st.integers(1, 3),
 )
-def test_column_pieces_match_whole_array_ffts_bitwise(log2_nx, ny, seed, cpus):
-    # one to three uneven column pieces, against each x-FFT taken on the
-    # whole array at once
+def test_every_worker_count_matches_whole_array_numpy_ffts_bitwise(log2_nx, ny, seed, cpus):
+    # every transform on one to three workers, against numpy's x-FFTs
     grid = ChannelGrid(nx=2**log2_nx, ny=ny)
     vals = np.random.default_rng(seed).standard_normal((grid.nx, ny))
     with block_partition(8, cpus):
@@ -147,3 +147,25 @@ def test_column_pieces_match_whole_array_ffts_bitwise(log2_nx, ny, seed, cpus):
         _whole_array_poisson(vals, grid, bc) for bc in ("dirichlet", "neumann")]
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+def test_transforms_take_workers_by_the_block_runners_size_rule(monkeypatch):
+    # a second worker on a 64-256 grid measured up to about 2x slower, so
+    # only arrays of at least _PARALLEL_NODES values may get _CPUS workers
+    seen = []
+    for name in ("rfft", "irfft", "dct", "idct", "dst", "idst"):
+        def recorded(x, *args, _fn=getattr(scipy.fft, name), workers=None, **kwargs):
+            seen.append((x.size, workers))
+            return _fn(x, *args, workers=workers, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, recorded)
+    monkeypatch.setattr(fields, "_CPUS", 3)
+    for grid in (ChannelGrid(64, 33), ChannelGrid(2048, 257)):
+        vals = np.random.default_rng(0).standard_normal((grid.nx, grid.ny))
+        spectral_dx(vals, grid)
+        spectral_dxx(vals, grid)
+        for bc in ("dirichlet", "neumann"):
+            solve_poisson(vals, grid, bc)
+    assert len(seen) == 2 * (2 + 2 + 4 + 4)
+    for size, workers in seen:
+        assert workers == (3 if size >= fields._PARALLEL_NODES else 1), size
+    assert {w for _, w in seen} == {1, 3}
