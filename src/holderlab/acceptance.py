@@ -85,7 +85,6 @@ class CriterionResult:
     name: str
     passed: bool
     elapsed_seconds: float
-    runtime_limit_seconds: float | None
     checks: dict
     details: dict
 
@@ -99,7 +98,6 @@ def _finish(number, name, t0, limit, checks, details) -> CriterionResult:
         name=name,
         passed=all(checks.values()),
         elapsed_seconds=elapsed,
-        runtime_limit_seconds=limit,
         checks=checks,
         details=details,
     )

@@ -1,8 +1,8 @@
 """Channel grids, sampled fields, and grid-based Hölder estimation.
 
-The domain is the periodic channel: x runs over one period (default 2)
-with ``nx`` periodic nodes, y runs from 0 to ``y_extent`` (default 1)
-inclusive of both walls.  Fields are node samples; there is no
+The domain is the fixed channel [0, 2) x [0, 1]: x is periodic with
+period 2 and ``nx`` nodes, y runs from 0 to 1 with ``ny`` nodes on and
+between both walls.  Fields are node samples; there is no
 interpolation machinery on purpose — analytic fields are resampled when
 the resolution changes.
 
@@ -101,15 +101,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
+def _workers(nodes: int) -> int:
+    """Workers for an array of this many nodes: every usable CPU, or one
+    when it has fewer than ``_PARALLEL_NODES`` nodes."""
+    return _CPUS if nodes >= _PARALLEL_NODES else 1
+
+
 def _run_pieces(fn, n: int, nodes: int) -> list:
     """[fn(start, stop)] over contiguous pieces of range(n), in order: one
-    piece per usable CPU, or one piece when the array has fewer than
-    ``_PARALLEL_NODES`` nodes.  The calling thread runs the first piece and
-    the pool the rest.  fn may call numpy and private helpers but no public
-    package function, so that every such call, and any profiler's record of
-    it, stays on the calling thread.
+    piece per worker of :func:`_workers`.  The calling thread runs the first
+    piece and the pool the rest.  fn may call numpy and private helpers but
+    no public package function, so that every such call, and any profiler's
+    record of it, stays on the calling thread.
     """
-    pieces = max(1, min(n, _CPUS if nodes >= _PARALLEL_NODES else 1))
+    pieces = max(1, min(n, _workers(nodes)))
     bounds = [n * i // pieces for i in range(pieces + 1)]
     futures = [_pool().submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     try:
@@ -133,33 +138,29 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ChannelGrid:
-    """Uniform tensor grid on the channel.
+    """Uniform tensor grid on the channel [0, 2) x [0, 1].
 
-    nx periodic nodes cover [0, x_period); ny nodes cover [0, y_extent]
-    with both walls landing exactly on nodes.  nx must be a power of two
+    nx periodic nodes cover [0, 2); ny nodes cover [0, 1] with both walls
+    landing exactly on nodes.  nx must be a power of two
     (>= 4) so spectral work in x and dyadic pair scans line up.
     """
 
     nx: int
     ny: int
-    x_period: float = 2.0
-    y_extent: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.nx, int) or not _is_power_of_two(self.nx) or self.nx < 4:
             raise ValueError(f"nx must be a power of two >= 4, got {self.nx}")
         if not isinstance(self.ny, int) or self.ny < 3:
             raise ValueError(f"ny must be an integer >= 3, got {self.ny}")
-        if not (self.x_period > 0.0 and self.y_extent > 0.0):
-            raise ValueError("x_period and y_extent must be positive")
 
     @property
     def hx(self) -> float:
-        return self.x_period / self.nx
+        return 2.0 / self.nx
 
     @property
     def hy(self) -> float:
-        return self.y_extent / (self.ny - 1)
+        return 1.0 / (self.ny - 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -167,7 +168,7 @@ class ChannelGrid:
 
     @property
     def y(self) -> np.ndarray:
-        return np.linspace(0.0, self.y_extent, self.ny)
+        return np.linspace(0.0, 1.0, self.ny)
 
     def meshgrid(self):
         return np.meshgrid(self.x, self.y, indexing="ij")
@@ -175,7 +176,7 @@ class ChannelGrid:
     def wall_row_index(self, y: float) -> int:
         """Index of the grid line at height y, which must be on-grid."""
         j = int(round(y / self.hy))
-        if not (0 <= j < self.ny) or abs(self.y[j] - y) > 1e-12 * max(1.0, self.y_extent):
+        if not (0 <= j < self.ny) or abs(self.y[j] - y) > 1e-12:
             raise ValueError(f"y={y} is not a grid line of this grid")
         return j
 
@@ -238,9 +239,6 @@ class ChannelField:
     @property
     def components(self) -> int:
         return self.values.shape[0]
-
-    def component(self, c: int = 0) -> np.ndarray:
-        return self.values[c]
 
     @classmethod
     def from_function(cls, grid: ChannelGrid, fn) -> "ChannelField":

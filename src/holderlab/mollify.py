@@ -98,7 +98,7 @@ def stream_from_velocity(u: ChannelField) -> tuple[ChannelField, float]:
     omega = spectral_dx(u2, grid)
     omega -= _ddy(u1, grid.hy)
     psi = solve_poisson(omega, grid, "dirichlet")
-    mean_flux = float(np.trapezoid(np.mean(u1, axis=0), dx=grid.hy)) / grid.y_extent
+    mean_flux = float(np.trapezoid(np.mean(u1, axis=0), dx=grid.hy))
     return ChannelField._adopt(grid, psi), mean_flux
 
 
@@ -106,13 +106,12 @@ def _odd_extend(vals: np.ndarray, rows: int) -> np.ndarray:
     """Continue a wall-vanishing (nx, ny) stream oddly by rows past y = 0 and
     y = 1; column rows of the result is the wall y = 0."""
     ny = vals.shape[1]
-    ext = np.zeros((vals.shape[0], ny + 2 * rows))
-    ext[:, rows:rows + ny] = vals
-    ext[:, rows] = 0.0
-    ext[:, rows + ny - 1] = 0.0
-    for t in range(1, rows + 1):
-        ext[:, rows - t] = -ext[:, rows + t]
-        ext[:, rows + ny - 1 + t] = -ext[:, rows + ny - 1 - t]
+    ext = np.empty((vals.shape[0], ny + 2 * rows))
+    mid = ext[:, rows:rows + ny]
+    mid[:] = vals
+    mid[:, 0] = mid[:, -1] = 0.0
+    np.negative(mid[:, rows:0:-1], out=ext[:, :rows])
+    np.negative(mid[:, -2:-2 - rows:-1], out=ext[:, rows + ny:])
     return ext
 
 
@@ -149,15 +148,15 @@ def mollify_stream(psi: ChannelField, m: Mollifier) -> ChannelField:
             "extension needs exact zeros"
         )
     mrows = round(_MARGIN / grid.hy)
-    if mrows > grid.ny - 1:
-        raise ValueError(f"margin {_MARGIN} exceeds the channel height")
     if m.epsilon >= mrows * grid.hy:
         raise ValueError(
             f"epsilon {m.epsilon} does not fit in the extension margin "
             f"{mrows * grid.hy}"
         )
-    ext = _odd_extend(psi.values[0], mrows)
     w, ax, ay = _kernel_weights(m, grid)
+    # row k of ext is x row (k - ax) mod nx, so x row i shifted down by a
+    # is the slice [ax - a, ax - a + nx)
+    ext = np.pad(_odd_extend(psi.values[0], mrows), ((ax, ax), (0, 0)), mode="wrap")
     nx = grid.nx
     out = np.zeros((nx, grid.ny))
     tap = np.empty_like(out)
@@ -167,11 +166,7 @@ def mollify_stream(psi: ChannelField, m: Mollifier) -> ChannelField:
             weight = w[a + ax, b + ay]
             if weight == 0.0:
                 continue
-            # tap = weight * (col shifted down a rows, x periodic): rows
-            # [s:] take col[:nx-s], the wrapped rows [:s] take col[nx-s:]
-            s = a % nx
-            np.multiply(col[:nx - s], weight, out=tap[s:])
-            np.multiply(col[nx - s:], weight, out=tap[:s])
+            np.multiply(col[ax - a:ax - a + nx], weight, out=tap)
             out += tap
     wall_worst = _wall_max(out)
     if wall_worst > 1e-12:

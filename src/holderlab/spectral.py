@@ -26,8 +26,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from . import fields
-from .fields import ChannelGrid
+from .fields import ChannelGrid, _workers
 
 __all__ = ["x_wavenumbers", "spectral_dx", "spectral_dxx", "solve_poisson"]
 
@@ -37,21 +36,16 @@ def x_wavenumbers(grid: ChannelGrid) -> np.ndarray:
     return 2.0 * math.pi * scipy.fft.rfftfreq(grid.nx, d=grid.hx)
 
 
-def _workers(a: np.ndarray) -> int:
-    """scipy.fft workers for a: every usable CPU for a large array, else 1."""
-    return fields._CPUS if a.size >= fields._PARALLEL_NODES else 1
-
-
 def _x_derivative(vals: np.ndarray, grid: ChannelGrid, order: int) -> np.ndarray:
     """The first or second x-derivative: rfft, times the symbol, irfft."""
     k = x_wavenumbers(grid)[:, None]
-    hat = scipy.fft.rfft(vals, axis=0, workers=_workers(vals))
+    hat = scipy.fft.rfft(vals, axis=0, workers=_workers(vals.size))
     if order == 1:
         hat *= 1j * k
         hat[-1] = 0.0
     else:
         hat *= -(k**2)
-    return scipy.fft.irfft(hat, grid.nx, axis=0, overwrite_x=True, workers=_workers(hat))
+    return scipy.fft.irfft(hat, grid.nx, axis=0, overwrite_x=True, workers=_workers(hat.size))
 
 
 def spectral_dx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
@@ -82,8 +76,8 @@ def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
     else:
         raise ValueError(f"bc must be 'dirichlet' or 'neumann', got {bc!r}")
     ny = grid.ny
-    hat = scipy.fft.rfft(rhs[:, rows], axis=0, workers=_workers(rhs[:, rows]))
-    workers = _workers(hat)
+    hat = scipy.fft.rfft(rhs[:, rows], axis=0, workers=_workers(rhs[:, rows].size))
+    workers = _workers(hat.size)
     hat = forward(hat, type=1, axis=1, overwrite_x=True, workers=workers)
     m = np.arange(m0, ny - m0)
     symbol = x_wavenumbers(grid)[:, None] ** 2 + (

@@ -275,6 +275,29 @@ def interior_lower_bound(alpha: float, m: int, n: int) -> float:
     )
 
 
+def _trace_report(alpha, ns, ys, totals, lower_bound, nr, rnr, rr) -> TraceReport:
+    """The report on quotient tables over ns: lower_bound(n) per n when
+    0 < alpha < 1 (nan otherwise), the growth fit, and the verdict of
+    :func:`classify_blowup`, BOUNDED_NONZERO below six points."""
+    bounds = tuple(lower_bound(n) if 0.0 < alpha < 1.0 else math.nan for n in ns)
+    exponent = fit_growth_exponent(ns, totals)
+    verdict = classify_blowup(totals, ns) if len(ns) >= 6 else VERDICT_BOUNDED
+    return TraceReport(
+        alpha=alpha,
+        n_values=ns,
+        y_values=tuple(ys),
+        quotients=tuple(totals),
+        lower_bounds=bounds,
+        fitted_growth_exponent=exponent,
+        verdict=verdict,
+        components={
+            "quotient_NR": tuple(nr),
+            "quotient_RNR": tuple(rnr),
+            "quotient_RR": tuple(rr),
+        },
+    )
+
+
 def dyadic_quotients_boundary(
     p: WeierstrassParams, theta: TestFunction, n_max: int
 ) -> TraceReport:
@@ -299,24 +322,8 @@ def dyadic_quotients_boundary(
         doubles.append(dbl * scale)
         means_.append(mean_part * scale)
         totals.append((off + dbl + mean_part) * scale)
-    bounds = tuple(resonant_lower_bound(p.alpha, n) if 0.0 < p.alpha < 1.0 else math.nan
-                   for n in ns)
-    exponent = fit_growth_exponent(ns, totals)
-    verdict = classify_blowup(totals, ns) if n_max >= 6 else VERDICT_BOUNDED
-    return TraceReport(
-        alpha=p.alpha,
-        n_values=ns,
-        y_values=tuple(ys),
-        quotients=tuple(totals),
-        lower_bounds=bounds,
-        fitted_growth_exponent=exponent,
-        verdict=verdict,
-        components={
-            "quotient_NR": tuple(offs),
-            "quotient_RNR": tuple(doubles),
-            "quotient_RR": tuple(means_),
-        },
-    )
+    return _trace_report(p.alpha, ns, ys, totals, lambda n: resonant_lower_bound(p.alpha, n),
+                         offs, doubles, means_)
 
 
 def dyadic_quotients_interior(
@@ -370,21 +377,5 @@ def dyadic_quotients_interior(
         s_even.append(pref * even)
         s_tail.append(pref * tail)
         totals.append(pref * (odd + even + tail))
-    bounds = tuple(interior_lower_bound(p.alpha, m, n) if 0.0 < p.alpha < 1.0 else math.nan
-                   for n in ns)
-    exponent = fit_growth_exponent(ns, totals)
-    verdict = classify_blowup(totals, ns) if len(ns) >= 6 else VERDICT_BOUNDED
-    return TraceReport(
-        alpha=p.alpha,
-        n_values=ns,
-        y_values=tuple(ys),
-        quotients=tuple(totals),
-        lower_bounds=bounds,
-        fitted_growth_exponent=exponent,
-        verdict=verdict,
-        components={
-            "quotient_NR": tuple(s_odd),
-            "quotient_RNR": tuple(s_even),
-            "quotient_RR": tuple(s_tail),
-        },
-    )
+    return _trace_report(p.alpha, ns, ys, totals, lambda n: interior_lower_bound(p.alpha, m, n),
+                         s_odd, s_even, s_tail)

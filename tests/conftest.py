@@ -47,7 +47,7 @@ def roll_shift_max(vals: np.ndarray, di: int, dj: int) -> float:
 def brute_force_seminorm(f: ChannelField, alpha: float, h_min: float, h_max: float) -> float:
     """Exhaustive scan over *all* node shift vectors with separation in range."""
     g = f.grid
-    vals = f.component(0)
+    vals = f.values[0]
     best = 0.0
     for di in range(0, g.nx // 2 + 1):
         for dj in range(-(g.ny - 1), g.ny):
@@ -63,7 +63,7 @@ def brute_force_seminorm(f: ChannelField, alpha: float, h_min: float, h_max: flo
 def brute_force_modulus(f: ChannelField, h: float) -> float:
     """Exhaustive modulus of continuity over all shift vectors with |shift| <= h."""
     g = f.grid
-    vals = f.component(0)
+    vals = f.values[0]
     best = 0.0
     for di in range(0, g.nx // 2 + 1):
         for dj in range(-(g.ny - 1), g.ny):
@@ -90,15 +90,17 @@ def field_csv_by_loops(field: ChannelField, path) -> None:
 
 def read_field_csv(path) -> ChannelField:
     """Rebuild a field from a ``write_field_csv`` dump: component-major,
-    then y outer, x inner; the x period is nx times the node spacing."""
+    then y outer, x inner.  Raises unless the coordinates are the nodes of
+    the channel grid with that many x and y values."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if rows[0] != ["x", "y", "component", "value"]:
         raise ValueError(f"unexpected header {rows[0]}")
     x, y, comp, vals = np.array(rows[1:], dtype=float).T
     xs, ys = np.unique(x), np.unique(y)
-    grid = ChannelGrid(nx=xs.size, ny=ys.size, x_period=(xs[1] - xs[0]) * xs.size,
-                       y_extent=ys[-1])
+    grid = ChannelGrid(xs.size, ys.size)
+    if not (np.array_equal(xs, grid.x) and np.array_equal(ys, grid.y)):
+        raise ValueError("coordinates are not the nodes of the channel grid")
     values = vals.reshape(int(comp.max()) + 1, ys.size, xs.size).transpose(0, 2, 1)
     return ChannelField(grid, values)
 

@@ -1,6 +1,8 @@
 import argparse
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +243,13 @@ def test_option_table_parser_and_manifest_agree(tmp_path, monkeypatch, capsys, c
         assert "--" + key.replace("_", "-") in shown
     for flag, text in _FLAG_HELP.get(command, {}).items():
         assert f"{flag} {flag[2:].upper()} {text}" in shown
+
+
+def test_output_digests_runs_every_command_with_valid_flags():
+    path = Path(__file__).parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    parser = cli.build_parser()
+    ran = {parser.parse_args(c.split()).command for c in digests.COMMANDS}
+    assert ran == set(cli.COMMANDS)

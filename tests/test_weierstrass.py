@@ -165,7 +165,7 @@ def test_seminorm_stays_under_closed_form_bound():
 
     g = ChannelGrid(512, 257)
     u = velocity_field(WeierstrassParams(alpha=0.5, n_terms=30), g)
-    f2 = ChannelField(g, u.component(1))
+    f2 = ChannelField(g, u.values[1])
     est = holder_quotient(f2, alpha=0.5, h_min=g.hy, h_max=0.5)
     assert 0.0 < est.seminorm <= 26.29
     # modulus at a single scale obeys the same constant
@@ -178,7 +178,7 @@ def test_fitted_exponent_recovers_alpha_03():
 
     g = ChannelGrid(1024, 1025)
     u = velocity_field(WeierstrassParams(alpha=0.3, n_terms=40), g)
-    f2 = ChannelField(g, u.component(1))
+    f2 = ChannelField(g, u.values[1])
     est = estimate_holder_exponent(f2, [2.0**-m for m in range(6, 10)])
     assert abs(est.fitted_exponent - 0.3) <= 0.05
 
