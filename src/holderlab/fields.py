@@ -15,14 +15,19 @@ separation h; ``holder_quotient`` and ``c_alpha_norm`` ask for the
 dyadic separations {h_max, h_max/2, ...} along the same directions, so
 the cost stays O(nx*ny*log) per call.
 
-The grid kernels (this scan and the lacunary samplers of
-:mod:`holderlab.weierstrass`) split their index range into one contiguous
-piece per CPU this process may use and run the pieces on a thread pool
-made on first use; arrays under ``_PARALLEL_NODES`` nodes run as one piece
-on the calling thread.  The pieces run numpy only, and each result element
-is computed by the same operations whatever the partition, so results do
-not depend on the core count.  The ``scipy.fft`` transforms of
-:mod:`holderlab.spectral` take their ``workers`` by the same size rule.
+The grid kernels split their index range into one contiguous piece per
+CPU this process may use, run the pieces on a thread pool made on first
+use, and work through each piece in blocks of about ``_BLOCK_BYTES``.  The
+kernels are this scan, the lacunary samplers of
+:mod:`holderlab.weierstrass`, the mollifier's taps, and the Poisson layer:
+the y-stencils of :mod:`holderlab.pressure` in x-row blocks and the x-FFTs
+of :mod:`holderlab.spectral` in transposed column blocks (its y-transforms
+take ``workers`` by the same size rule).  Work under ``_PARALLEL_NODES``
+values (the array's size; for the mollifier, nodes times taps) runs as one
+piece on the calling thread, and the Poisson layer's kernels then make one
+whole-array call.  The pieces run numpy and ``scipy.fft`` only, and each
+result element is computed by the same operations whatever the partition,
+so results do not depend on the core count.
 
 ``estimate_holder_exponent`` regresses per-scale oscillations taken at
 node displacements of exactly (h,0), (0,h), (h,h) and (h,-h).  Exact
@@ -130,6 +135,22 @@ def _blocks(start: int, stop: int, item_bytes: int) -> list:
     the largest."""
     step = max(1, _BLOCK_BYTES // item_bytes)
     return [(s, min(s + step, stop)) for s in range(start, stop, step)]
+
+
+def _run_blocks(fn, n: int, item_bytes: int, nodes: int) -> None:
+    """fn(start, stop) over range(n) for a kernel that needs no scratch of
+    its own: one whole call fn(0, n) on the calling thread for fewer than
+    ``_PARALLEL_NODES`` nodes, otherwise one call per block of
+    :func:`_blocks` within the pieces of :func:`_run_pieces`."""
+    if nodes < _PARALLEL_NODES:
+        fn(0, n)
+        return
+
+    def piece(start, stop):
+        for a, b in _blocks(start, stop, item_bytes):
+            fn(a, b)
+
+    _run_pieces(piece, n, nodes)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -242,13 +263,22 @@ class ChannelField:
 
     @classmethod
     def from_function(cls, grid: ChannelGrid, fn) -> "ChannelField":
-        """Sample fn(X, Y) on the grid; fn may return one array or a tuple."""
-        X, Y = grid.meshgrid()
-        out = fn(X, Y)
-        if isinstance(out, tuple):
-            return cls._adopt(grid, np.stack([np.asarray(o, dtype=float) for o in out]))
-        # a single array may be one the caller holds, so it is copied
-        return cls(grid, np.asarray(out, dtype=float))
+        """Sample fn(X, Y) on the grid: one array for a scalar field, or a
+        tuple of one array per component.
+
+        X is the x-axis as a column (nx, 1) and Y the y-axis as a row
+        (1, ny), so fn must broadcast: numpy ufuncs and arithmetic on X and
+        Y do.  Each output is broadcast to (nx, ny) into one fresh buffer,
+        so an output that is a column, a row, a scalar or an array the
+        caller holds all work, and the field never shares the caller's
+        memory.
+        """
+        out = fn(grid.x[:, None], grid.y[None, :])
+        parts = out if isinstance(out, tuple) else (out,)
+        values = np.empty((len(parts), grid.nx, grid.ny))
+        for v, part in zip(values, parts):
+            v[...] = part
+        return cls._adopt(grid, values)
 
 
 def write_field_csv(field: ChannelField, path) -> None:

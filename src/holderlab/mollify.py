@@ -27,7 +27,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fields import ChannelField, ChannelGrid, _wall_max, c_alpha_norm, check_tangential
+from .fields import (
+    ChannelField,
+    ChannelGrid,
+    _blocks,
+    _run_pieces,
+    _wall_max,
+    c_alpha_norm,
+    check_tangential,
+)
 from .spectral import solve_poisson, spectral_dx
 
 __all__ = [
@@ -154,20 +162,29 @@ def mollify_stream(psi: ChannelField, m: Mollifier) -> ChannelField:
             f"{mrows * grid.hy}"
         )
     w, ax, ay = _kernel_weights(m, grid)
-    # row k of ext is x row (k - ax) mod nx, so x row i shifted down by a
-    # is the slice [ax - a, ax - a + nx)
+    # row k of ext is x row (k - ax) mod nx, so x rows [r, s) shifted down
+    # by a are the rows [r + ax - a, s + ax - a) of ext
     ext = np.pad(_odd_extend(psi.values[0], mrows), ((ax, ax), (0, 0)), mode="wrap")
-    nx = grid.nx
-    out = np.zeros((nx, grid.ny))
-    tap = np.empty_like(out)
-    for b in range(-ay, ay + 1):
-        col = ext[:, mrows - b:mrows - b + grid.ny]
-        for a in range(-ax, ax + 1):
-            weight = w[a + ax, b + ay]
-            if weight == 0.0:
-                continue
-            np.multiply(col[ax - a:ax - a + nx], weight, out=tap)
-            out += tap
+    nx, ny = grid.nx, grid.ny
+    # (row offset into ext, y-shifted columns, weight) per nonzero tap,
+    # column offset outer and row offset inner
+    taps = [(ax - a, ext[:, mrows - b:mrows - b + ny], w[a + ax, b + ay])
+            for b in range(-ay, ay + 1) for a in range(-ax, ax + 1)
+            if w[a + ax, b + ay] != 0.0]
+    out = np.zeros((nx, ny))
+
+    def convolve(start, stop):
+        # every tap into one x-row block before the next block, so each
+        # element sums its taps in the order above
+        blocks = _blocks(start, stop, 8 * ny)
+        scratch = np.empty((blocks[0][1] - blocks[0][0], ny))
+        for r, s in blocks:
+            block, tap = out[r:s], scratch[:s - r]
+            for off, col, weight in taps:
+                np.multiply(col[r + off:s + off], weight, out=tap)
+                block += tap
+
+    _run_pieces(convolve, nx, out.size * w.size)
     wall_worst = _wall_max(out)
     if wall_worst > 1e-12:
         raise ValueError(

@@ -37,6 +37,7 @@ import numpy as np
 from .fields import (  # noqa: F401
     ChannelField,
     ChannelGrid,
+    _run_blocks,
     c_alpha_norm,
     check_tangential,
     holder_quotient,
@@ -117,27 +118,41 @@ class PressureSolution:
     compatibility_defect: float
 
 
+def _by_x_rows(stencil, vals: np.ndarray) -> np.ndarray:
+    """stencil(v, out) applied to x-row blocks v of vals, writing the same
+    rows of a new array; the whole array at once under the block runner's
+    size rule."""
+    out = np.empty_like(vals)
+    _run_blocks(lambda a, b: stencil(vals[a:b], out[a:b]), vals.shape[0],
+                vals.itemsize * vals.shape[1], vals.size)
+    return out
+
+
 def _dy_odd(vals: np.ndarray, hy: float) -> np.ndarray:
     """Centered y-derivative; walls use odd-reflection ghosts."""
-    out = np.empty_like(vals)
-    mid = np.subtract(vals[:, 2:], vals[:, :-2], out=out[:, 1:-1])
-    mid /= 2.0 * hy
-    out[:, 0] = vals[:, 1] / hy
-    out[:, -1] = -vals[:, -2] / hy
-    return out
+
+    def stencil(v, out):
+        mid = np.subtract(v[:, 2:], v[:, :-2], out=out[:, 1:-1])
+        mid /= 2.0 * hy
+        out[:, 0] = v[:, 1] / hy
+        out[:, -1] = -v[:, -2] / hy
+
+    return _by_x_rows(stencil, vals)
 
 
 def _dyy_even(vals: np.ndarray, hy: float) -> np.ndarray:
     """Centered second y-derivative; walls use even-reflection ghosts."""
-    out = np.empty_like(vals)
-    # (v[j+1] - 2 v[j] + v[j-1]) / hy^2, evaluated in that order
-    mid = np.multiply(vals[:, 1:-1], 2.0, out=out[:, 1:-1])
-    np.subtract(vals[:, 2:], mid, out=mid)
-    mid += vals[:, :-2]
-    mid /= hy**2
-    out[:, 0] = 2.0 * (vals[:, 1] - vals[:, 0]) / hy**2
-    out[:, -1] = 2.0 * (vals[:, -2] - vals[:, -1]) / hy**2
-    return out
+
+    def stencil(v, out):
+        # (v[j+1] - 2 v[j] + v[j-1]) / hy^2, evaluated in that order
+        mid = np.multiply(v[:, 1:-1], 2.0, out=out[:, 1:-1])
+        np.subtract(v[:, 2:], mid, out=mid)
+        mid += v[:, :-2]
+        mid /= hy**2
+        out[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / hy**2
+        out[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / hy**2
+
+    return _by_x_rows(stencil, vals)
 
 
 def _trapezoid_weights(ny: int) -> np.ndarray:

@@ -15,8 +15,20 @@ transform (Hockney, J. ACM 12, 1965):
 So -lap(u) = rhs is solved by an x-FFT, one y-transform, a division by
 k_x^2 plus the y-eigenvalue, and the two inverse transforms.  The x-FFT
 goes first, which measured slightly faster than the other order on tall
-grids.  Every transform is one ``scipy.fft`` call; its ``workers`` follow
-the block runner's size rule, and no 1-D transform depends on them.
+grids.
+
+Every transform is a ``scipy.fft`` call under the block runner's size
+rule (:mod:`holderlab.fields`).  An input under ``_PARALLEL_NODES`` values
+takes one whole-array call with one worker.  On a larger input the
+x-transforms run on blocks of columns whose spectra take about
+``_BLOCK_BYTES``, each block transposed so that its x-lines are rows, one
+worker per block and the blocks spread over the pieces of the block
+runner.  An x-derivative takes its rfft, symbol and irfft inside the
+block, so it makes no whole-grid spectrum.  Fields are stored with x
+slowest, so an x-line is strided by the row length; a whole-array x-FFT
+reads each line from main memory, a block from cache.  The y-transforms
+stay whole-array calls with every CPU as ``workers``.  No 1-D transform
+depends on the partition or the worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +38,8 @@ import math
 import numpy as np
 import scipy.fft
 
-from .fields import ChannelGrid, _workers
+from . import fields
+from .fields import ChannelGrid, _run_blocks, _workers
 
 __all__ = ["x_wavenumbers", "spectral_dx", "spectral_dxx", "solve_poisson"]
 
@@ -36,16 +49,42 @@ def x_wavenumbers(grid: ChannelGrid) -> np.ndarray:
     return 2.0 * math.pi * scipy.fft.rfftfreq(grid.nx, d=grid.hx)
 
 
+def _along_x(step, src: np.ndarray, n: int, dtype) -> np.ndarray:
+    """The (n, ny) array whose column j is step's transform of column j of
+    src, where step(lines, axis) transforms every x-line of lines along
+    axis with one worker.
+
+    Under ``_PARALLEL_NODES`` values it is one whole-array step(src, 0).
+    Otherwise each block of columns of src goes through step transposed,
+    out[:, a:b] = step(src[:, a:b].T, 1).T, on the block runner; a block's
+    largest array, its spectrum, takes about ``_BLOCK_BYTES``.
+    """
+    if src.size < fields._PARALLEL_NODES:
+        return step(src, 0)
+    out = np.empty((n, src.shape[1]), dtype)
+
+    def block(a, b):
+        out[:, a:b] = step(src[:, a:b].T, 1).T
+
+    spectrum_bytes = 16 * (max(n, src.shape[0]) // 2 + 1)
+    _run_blocks(block, src.shape[1], spectrum_bytes, src.size)
+    return out
+
+
 def _x_derivative(vals: np.ndarray, grid: ChannelGrid, order: int) -> np.ndarray:
     """The first or second x-derivative: rfft, times the symbol, irfft."""
-    k = x_wavenumbers(grid)[:, None]
-    hat = scipy.fft.rfft(vals, axis=0, workers=_workers(vals.size))
-    if order == 1:
-        hat *= 1j * k
-        hat[-1] = 0.0
-    else:
-        hat *= -(k**2)
-    return scipy.fft.irfft(hat, grid.nx, axis=0, overwrite_x=True, workers=_workers(hat.size))
+    k = x_wavenumbers(grid)
+    symbol = 1j * k if order == 1 else -(k**2)
+
+    def derivative(lines, axis):
+        hat = scipy.fft.rfft(lines, axis=axis, workers=1)
+        modes = np.moveaxis(hat, axis, -1)  # a view of hat with x last
+        modes *= symbol
+        if order == 1:
+            modes[..., -1] = 0.0
+        return scipy.fft.irfft(hat, grid.nx, axis=axis, overwrite_x=True, workers=1)
+
+    return _along_x(derivative, vals, grid.nx, float)
 
 
 def spectral_dx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
@@ -75,8 +114,9 @@ def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
         rows, forward, inverse, m0 = slice(None), scipy.fft.dct, scipy.fft.idct, 0
     else:
         raise ValueError(f"bc must be 'dirichlet' or 'neumann', got {bc!r}")
-    ny = grid.ny
-    hat = scipy.fft.rfft(rhs[:, rows], axis=0, workers=_workers(rhs[:, rows].size))
+    ny, nx = grid.ny, grid.nx
+    hat = _along_x(lambda lines, axis: scipy.fft.rfft(lines, axis=axis, workers=1),
+                   rhs[:, rows], nx // 2 + 1, complex)
     workers = _workers(hat.size)
     hat = forward(hat, type=1, axis=1, overwrite_x=True, workers=workers)
     m = np.arange(m0, ny - m0)
@@ -88,5 +128,6 @@ def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
     hat /= symbol
     del symbol  # free it before the inverse transforms allocate
     hat = inverse(hat, type=1, axis=1, overwrite_x=True, workers=workers)
-    u = scipy.fft.irfft(hat, grid.nx, axis=0, overwrite_x=True, workers=workers)
+    u = _along_x(lambda lines, axis: scipy.fft.irfft(lines, nx, axis=axis, overwrite_x=True,
+                                                     workers=1), hat, nx, float)
     return u if bc == "neumann" else np.pad(u, ((0, 0), (1, 1)))

@@ -285,6 +285,30 @@ def mollify_by_roll(ext: np.ndarray, w: np.ndarray, margin_rows: int, ny: int) -
     return out
 
 
+def mollify_by_whole_grid_taps(psi: np.ndarray, w: np.ndarray, margin_rows: int) -> np.ndarray:
+    """The mollified stream of wall-vanishing (nx, ny) samples, one whole-grid
+    pass per nonzero tap: the odd extension wrap-padded by ax rows in x,
+    each tap one slice multiply into a scratch grid and one add, column
+    offset outer and row offset inner; walls pinned to zero."""
+    ax, ay = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
+    nx, ny = psi.shape
+    ext = np.pad(odd_extension_by_concatenation(psi, margin_rows), ((ax, ax), (0, 0)),
+                 mode="wrap")
+    out = np.zeros((nx, ny))
+    tap = np.empty_like(out)
+    for b in range(-ay, ay + 1):
+        col = ext[:, margin_rows - b:margin_rows - b + ny]
+        for a in range(-ax, ax + 1):
+            weight = w[a + ax, b + ay]
+            if weight == 0.0:
+                continue
+            np.multiply(col[ax - a:ax - a + nx], weight, out=tap)
+            out += tap
+    out[:, 0] = 0.0
+    out[:, -1] = 0.0
+    return out
+
+
 def divergence_residual_by_roll(u: ChannelField) -> float:
     """Interior max |centred divergence|, x-differences through np.roll."""
     g = u.grid

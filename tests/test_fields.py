@@ -110,6 +110,39 @@ def test_field_csv_matches_the_cell_by_cell_writer(nx, ny, components, data):
         assert fast.read_bytes() == slow.read_bytes()
 
 
+_SAMPLED = {
+    "full grid": lambda a, k, X, Y: a * np.sin(k * np.pi * X) * np.cos(np.pi * Y) + Y**2,
+    "x only": lambda a, k, X, Y: a * np.cos(k * np.pi * X),
+    "y only": lambda a, k, X, Y: a * np.sin(k * np.pi * Y) - 1.0,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.sampled_from([4, 8, 32, 128]),
+    ny=st.integers(3, 40),
+    amplitude=st.floats(-4.0, 4.0),
+    k=st.integers(0, 9),
+    shape=st.sampled_from(["full grid", "x only", "y only", "tuple"]),
+    cpus=st.integers(1, 3),
+)
+def test_from_function_on_broadcast_axes_matches_meshgrid_sampling(nx, ny, amplitude, k,
+                                                                   shape, cpus):
+    grid = ChannelGrid(nx, ny)
+    if shape == "tuple":
+        def fn(X, Y):
+            return tuple(f(amplitude, k, X, Y) for f in _SAMPLED.values())[:2]
+    else:
+        def fn(X, Y):
+            return _SAMPLED[shape](amplitude, k, X, Y)
+    with block_partition(8, cpus):
+        got = ChannelField.from_function(grid, fn).values
+    X, Y = grid.meshgrid()
+    want = np.reshape(np.array(fn(X, Y)), (-1, nx, ny))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_modulus_linear_field_exact():
     f = _linear_in_y()
     assert modulus_of_continuity(f, 0.25) == 0.25

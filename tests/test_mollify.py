@@ -19,7 +19,12 @@ from holderlab.mollify import (
 )
 from holderlab.weierstrass import WeierstrassParams, stream_field, velocity_field
 
-from conftest import mollify_by_roll, odd_extension_by_concatenation
+from conftest import (
+    block_partition,
+    mollify_by_roll,
+    mollify_by_whole_grid_taps,
+    odd_extension_by_concatenation,
+)
 
 
 def constant_flow(grid, speed=1.0):
@@ -240,3 +245,27 @@ def test_tap_loop_matches_the_roll_oracle_bitwise(log2_nx, ny, epsilon, seed):
     want = mollify_by_roll(odd_extension_by_concatenation(psi, rows), w, rows, ny)
     assert got[:, 1:-1].tobytes() == want[:, 1:-1].tobytes()
     assert np.all(got[:, [0, -1]] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(5, 65),
+    epsilon=st.floats(0.02, 0.19),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_row_blocked_taps_match_the_whole_grid_tap_loop_bitwise(log2_nx, ny, epsilon, seed,
+                                                              data):
+    # every tap into one x-row block before the next, on partitions from one
+    # block on the calling thread to one-row blocks in up to three pieces
+    grid = ChannelGrid(2**log2_nx, ny)
+    psi = np.random.default_rng(seed).standard_normal((grid.nx, ny))
+    psi[:, 0] = psi[:, -1] = 0.0
+    m = Mollifier(epsilon)
+    block_bytes = data.draw(st.sampled_from([8, 8 * ny, 3 * 8 * ny, 1 << 20]))
+    with block_partition(block_bytes, data.draw(st.integers(1, 3))):
+        got = mollify_stream(ChannelField(grid, psi), m).values[0]
+    w, _, _ = mollify._kernel_weights(m, grid)
+    want = mollify_by_whole_grid_taps(psi, w, round(0.25 / grid.hy))
+    assert got.tobytes() == want.tobytes()

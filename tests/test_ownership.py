@@ -141,3 +141,10 @@ def test_modified_pressure_solve_peak_memory():
     u = velocity_field(WeierstrassParams(0.25, 8), TALL)
     assert _traced_peak_arrays(TALL, solve_modified_pressure, u,
                                CutoffProfile(delta=0.2)) <= 6.0
+
+
+def test_blocked_modified_pressure_solve_peak_memory(two_pieces):
+    # the same bound when the x-FFTs and y-stencils run in blocks
+    u = velocity_field(WeierstrassParams(0.25, 8), WIDE)
+    assert _traced_peak_arrays(WIDE, solve_modified_pressure, u,
+                               CutoffProfile(delta=0.2)) <= 6.0

@@ -23,6 +23,7 @@ from holderlab.tracelab import TestFunction
 from holderlab.weierstrass import WeierstrassParams, velocity_field
 
 from conftest import (
+    block_partition,
     dy_odd_by_expression,
     dyy_even_by_expression,
     modified_pressure_by_expression,
@@ -34,11 +35,9 @@ THETA = TestFunction.mean_one()
 
 
 def single_mode_flow(grid):
-    return ChannelField.from_function(
-        grid,
-        lambda X, Y: (-np.sin(np.pi * X) * np.cos(np.pi * Y),
-                      np.cos(np.pi * X) * np.sin(np.pi * Y)),
-    )
+    X, Y = grid.meshgrid()
+    return ChannelField(grid, np.stack([-np.sin(np.pi * X) * np.cos(np.pi * Y),
+                                        np.cos(np.pi * X) * np.sin(np.pi * Y)]))
 
 
 def single_mode_pressure(grid):
@@ -368,6 +367,26 @@ def test_in_place_solve_matches_the_expression_oracle_bitwise(log2_nx, ny, delta
     for name in ("mean_constraint_residual", "neumann_residual", "pde_residual",
                  "compatibility_defect"):
         assert getattr(sol, name) == want[name], name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(3, 65),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_row_blocked_y_stencils_match_the_whole_array_expressions_bitwise(log2_nx, ny, seed,
+                                                                         data):
+    # from one whole block on the calling thread to one-row blocks in up
+    # to three pieces
+    grid = ChannelGrid(2**log2_nx, ny)
+    vals = np.random.default_rng(seed).standard_normal((grid.nx, ny))
+    block_bytes = data.draw(st.sampled_from([8, 8 * ny, 3 * 8 * ny, 1 << 20]))
+    with block_partition(block_bytes, data.draw(st.integers(1, 3))):
+        dy, dyy = pressure._dy_odd(vals, grid.hy), pressure._dyy_even(vals, grid.hy)
+    assert dy.tobytes() == dy_odd_by_expression(vals, grid.hy).tobytes()
+    assert dyy.tobytes() == dyy_even_by_expression(vals, grid.hy).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

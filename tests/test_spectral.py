@@ -150,22 +150,45 @@ def test_every_worker_count_matches_whole_array_numpy_ffts_bitwise(log2_nx, ny, 
 
 
 def test_transforms_take_workers_by_the_block_runners_size_rule(monkeypatch):
-    # a second worker on a 64-256 grid measured up to about 2x slower, so
-    # only arrays of at least _PARALLEL_NODES values may get _CPUS workers
+    # an input under _PARALLEL_NODES values takes one whole-array call on one
+    # worker (a second worker on a 64-256 grid measured up to about 2x
+    # slower); a larger one has its x-transforms on transposed column blocks
+    # of at most _BLOCK_BYTES, one worker each, and every y-transform takes
+    # _workers of its size
     seen = []
     for name in ("rfft", "irfft", "dct", "idct", "dst", "idst"):
-        def recorded(x, *args, _fn=getattr(scipy.fft, name), workers=None, **kwargs):
-            seen.append((x.size, workers))
-            return _fn(x, *args, workers=workers, **kwargs)
+        def recorded(x, *args, _name=name, _fn=getattr(scipy.fft, name), axis=-1,
+                     workers=None, **kwargs):
+            seen.append((_name, x.shape, x.nbytes, axis, workers))
+            return _fn(x, *args, axis=axis, workers=workers, **kwargs)
         monkeypatch.setattr(scipy.fft, name, recorded)
     monkeypatch.setattr(fields, "_CPUS", 3)
+    ops = (spectral_dx, spectral_dxx, lambda v, g: solve_poisson(v, g, "dirichlet"),
+           lambda v, g: solve_poisson(v, g, "neumann"))
+    kinds = set()
     for grid in (ChannelGrid(64, 33), ChannelGrid(2048, 257)):
         vals = np.random.default_rng(0).standard_normal((grid.nx, grid.ny))
-        spectral_dx(vals, grid)
-        spectral_dxx(vals, grid)
-        for bc in ("dirichlet", "neumann"):
-            solve_poisson(vals, grid, bc)
-    assert len(seen) == 2 * (2 + 2 + 4 + 4)
-    for size, workers in seen:
-        assert workers == (3 if size >= fields._PARALLEL_NODES else 1), size
-    assert {w for _, w in seen} == {1, 3}
+        for op in ops:
+            seen.clear()
+            op(vals, grid)
+            for name in ("rfft", "irfft"):
+                calls = [(shape, nbytes, axis, workers)
+                         for n, shape, nbytes, axis, workers in seen if n == name]
+                assert all(workers == 1 for *_, workers in calls)
+                if calls[0][2] == 0:
+                    # one whole-array call: every x-line is a column
+                    (shape, _, _, _), = calls
+                    assert math.prod(shape) < fields._PARALLEL_NODES
+                    kinds.add("whole")
+                else:
+                    # transposed column blocks: every x-line is a row
+                    assert all(axis == 1 and nbytes <= fields._BLOCK_BYTES
+                               for _, nbytes, axis, _ in calls)
+                    assert sum(shape[0] for shape, *_ in calls) in (grid.ny, grid.ny - 2)
+                    assert sum(math.prod(shape) for shape, *_ in calls) >= fields._PARALLEL_NODES
+                    kinds.add("blocks")
+            for name, shape, _, axis, workers in seen:
+                if name not in ("rfft", "irfft"):
+                    assert axis == 1 and workers == fields._workers(math.prod(shape))
+                    kinds.add(workers)
+    assert kinds == {"whole", "blocks", 1, 3}

@@ -2,12 +2,13 @@
 
 Runs, in a temporary directory, the eight commands of README's "Command
 line" section, ``mollify-report`` on a 256x513 grid and ``pressure-solve``
-with the Weierstrass flow, using the ``holderlab`` that ``python -m``
-finds (set ``PYTHONPATH`` to choose a source tree).  For each command it
-prints the exit code, then ``sha256  path`` for every file the command
-wrote.  Nothing printed depends on the time or on the temporary path, so
-two source trees produce the same byte output exactly when their CLI
-outputs and exit codes agree:
+with the Weierstrass flow up to a 512x513 grid (at least 2^18 nodes, so
+the block runner's parallel path runs), using the ``holderlab`` that
+``python -m`` finds (set ``PYTHONPATH`` to choose a source tree).  For
+each command it prints the exit code, then ``sha256  path`` for every
+file the command wrote.  Nothing printed depends on the time or on the
+temporary path, so two source trees produce the same byte output exactly
+when their CLI outputs and exit codes agree:
 
     PYTHONPATH=src python tools/output_digests.py > after.txt
 """
@@ -15,6 +16,7 @@ outputs and exit codes agree:
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
 import tempfile
@@ -30,16 +32,23 @@ COMMANDS = (
     "schauder-check --seeds 0,1,2,3,4 --resolutions 64,128,256 --out runs/sch",
     "all-acceptance --out runs/acc",
     "mollify-report --nx 256 --ny 513 --out runs/mol256",
-    "pressure-solve --flow weierstrass --grids 64,128 --out runs/psw",
+    "pressure-solve --flow weierstrass --grids 64,128,512 --out runs/psw",
 )
 
 
 def main() -> int:
+    # the commands run in the temporary directory, so a relative
+    # PYTHONPATH entry is made absolute first
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
             args = command.split()
             code = subprocess.run([sys.executable, "-m", "holderlab.cli", *args], cwd=tmp,
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+                                  env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL).returncode
             print(f"exit {code}  holderlab {command}")
             out = Path(tmp, args[args.index("--out") + 1])
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
