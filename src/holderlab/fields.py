@@ -15,17 +15,18 @@ separation h; ``holder_quotient`` and ``c_alpha_norm`` ask for the
 dyadic separations {h_max, h_max/2, ...} along the same directions, so
 the cost stays O(nx*ny*log) per call.
 
-The grid kernels split their index range into one contiguous piece per
-CPU this process may use, run the pieces on a thread pool made on first
-use, and work through each piece in blocks of about ``_BLOCK_BYTES``.  The
+The grid kernels run on one block runner, :func:`_run_blocks`.  It splits
+an index range into one contiguous piece per CPU this process may use, cuts
+each piece into blocks of about ``_BLOCK_BYTES``, and runs the first piece
+on the calling thread and the rest on a thread pool made on first use.  The
 kernels are this scan, the lacunary samplers of
 :mod:`holderlab.weierstrass`, the mollifier's taps, and the Poisson layer:
 the y-stencils of :mod:`holderlab.pressure` in x-row blocks and the x-FFTs
 of :mod:`holderlab.spectral` in transposed column blocks (its y-transforms
 take ``workers`` by the same size rule).  Work under ``_PARALLEL_NODES``
 values (the array's size; for the mollifier, nodes times taps) runs as one
-piece on the calling thread, and the Poisson layer's kernels then make one
-whole-array call.  The pieces run numpy and ``scipy.fft`` only, and each
+piece on the calling thread, where the x-FFTs make one whole-array call
+instead of blocks.  The pieces run numpy and ``scipy.fft`` only, and each
 result element is computed by the same operations whatever the partition,
 so results do not depend on the core count.
 
@@ -112,45 +113,29 @@ def _workers(nodes: int) -> int:
     return _CPUS if nodes >= _PARALLEL_NODES else 1
 
 
-def _run_pieces(fn, n: int, nodes: int) -> list:
-    """[fn(start, stop)] over contiguous pieces of range(n), in order: one
-    piece per worker of :func:`_workers`.  The calling thread runs the first
-    piece and the pool the rest.  fn may call numpy and private helpers but
-    no public package function, so that every such call, and any profiler's
-    record of it, stays on the calling thread.
+def _run_blocks(fn, n: int, row_bytes: int, work: int) -> list:
+    """[fn(start, stop)] over the blocks of range(n), in order.
+
+    range(n) is cut into one contiguous piece per worker of
+    :func:`_workers` (work), and each piece into blocks of
+    max(1, ``_BLOCK_BYTES`` // row_bytes) rows.  The calling thread runs the
+    first piece's blocks and the pool the rest.  fn may call numpy and
+    private helpers but no public package function, so that every such
+    call, and any profiler's record of it, stays on the calling thread.
     """
-    pieces = max(1, min(n, _workers(nodes)))
+    pieces = max(1, min(n, _workers(work)))
     bounds = [n * i // pieces for i in range(pieces + 1)]
-    futures = [_pool().submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
-    try:
-        first = fn(bounds[0], bounds[1])
-    finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
-
-
-def _blocks(start: int, stop: int, item_bytes: int) -> list:
-    """range(start, stop) cut into (start, stop) blocks of about
-    ``_BLOCK_BYTES`` when each index holds item_bytes; the first block is
-    the largest."""
-    step = max(1, _BLOCK_BYTES // item_bytes)
-    return [(s, min(s + step, stop)) for s in range(start, stop, step)]
-
-
-def _run_blocks(fn, n: int, item_bytes: int, nodes: int) -> None:
-    """fn(start, stop) over range(n) for a kernel that needs no scratch of
-    its own: one whole call fn(0, n) on the calling thread for fewer than
-    ``_PARALLEL_NODES`` nodes, otherwise one call per block of
-    :func:`_blocks` within the pieces of :func:`_run_pieces`."""
-    if nodes < _PARALLEL_NODES:
-        fn(0, n)
-        return
+    step = max(1, _BLOCK_BYTES // row_bytes)
 
     def piece(start, stop):
-        for a, b in _blocks(start, stop, item_bytes):
-            fn(a, b)
+        return [fn(a, min(a + step, stop)) for a in range(start, stop, step)]
 
-    _run_pieces(piece, n, nodes)
+    futures = [_pool().submit(piece, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = piece(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    return first + [r for f in futures for r in f.result()]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -330,36 +315,33 @@ def _shift_maxima(vals: np.ndarray, shifts) -> np.ndarray:
     [nx-di:].  A shift with no y-overlap gives 0; a non-finite maximum raises
     ValueError, so NaN/inf samples never pass a scan unnoticed.
 
-    The p rows are scanned in blocks of about ``_BLOCK_BYTES``, each block
-    for every shift into one scratch buffer, keeping a running max per
-    shift; the pieces of :func:`_run_pieces` combine by np.maximum, which
-    is exact.
+    The p rows are scanned in blocks of :func:`_run_blocks`, each block
+    for every shift into one scratch buffer of its own, giving the block's
+    max per shift; the blocks combine by np.maximum, which is exact.
     """
     nx, ny = vals.shape[-2:]
     lead = vals.shape[:-2]
     comps = math.prod(lead)
 
-    def scan(start, stop):
+    def scan(a, b):
         best = np.zeros((len(shifts),) + lead)
-        blocks = _blocks(start, stop, 8 * comps * ny)
-        buf = np.empty(comps * (blocks[0][1] - blocks[0][0]) * ny)
-        for a, b in blocks:
-            for k, (di, dj) in enumerate(shifts):
-                m = ny - abs(dj)
-                if m <= 0:
-                    continue
-                p = vals[..., max(dj, 0):max(dj, 0) + m]
-                q = vals[..., max(-dj, 0):max(-dj, 0) + m]
-                # rows i >= di pair with i - di, the wrapped rows i < di
-                # with i - di + nx
-                for lo, hi, off in ((max(a, di), b, -di), (a, min(b, di), nx - di)):
-                    if lo < hi:
-                        d = buf[:comps * (hi - lo) * m].reshape(lead + (hi - lo, m))
-                        np.subtract(p[..., lo:hi, :], q[..., lo + off:hi + off, :], out=d)
-                        best[k] = np.maximum(best[k], np.abs(d, out=d).max(axis=(-2, -1)))
+        buf = np.empty(comps * (b - a) * ny)
+        for k, (di, dj) in enumerate(shifts):
+            m = ny - abs(dj)
+            if m <= 0:
+                continue
+            p = vals[..., max(dj, 0):max(dj, 0) + m]
+            q = vals[..., max(-dj, 0):max(-dj, 0) + m]
+            # rows i >= di pair with i - di, the wrapped rows i < di
+            # with i - di + nx
+            for lo, hi, off in ((max(a, di), b, -di), (a, min(b, di), nx - di)):
+                if lo < hi:
+                    d = buf[:comps * (hi - lo) * m].reshape(lead + (hi - lo, m))
+                    np.subtract(p[..., lo:hi, :], q[..., lo + off:hi + off, :], out=d)
+                    best[k] = np.maximum(best[k], np.abs(d, out=d).max(axis=(-2, -1)))
         return best
 
-    out = np.maximum.reduce(_run_pieces(scan, nx, vals.size))
+    out = np.maximum.reduce(_run_blocks(scan, nx, 8 * comps * ny, vals.size))
     if not np.isfinite(out).all():
         raise ValueError("non-finite node values: a Hölder scan needs finite samples")
     return out

@@ -30,8 +30,7 @@ import numpy as np
 from .fields import (
     ChannelField,
     ChannelGrid,
-    _blocks,
-    _run_pieces,
+    _run_blocks,
     _wall_max,
     c_alpha_norm,
     check_tangential,
@@ -173,18 +172,15 @@ def mollify_stream(psi: ChannelField, m: Mollifier) -> ChannelField:
             if w[a + ax, b + ay] != 0.0]
     out = np.zeros((nx, ny))
 
-    def convolve(start, stop):
+    def convolve(r, s):
         # every tap into one x-row block before the next block, so each
         # element sums its taps in the order above
-        blocks = _blocks(start, stop, 8 * ny)
-        scratch = np.empty((blocks[0][1] - blocks[0][0], ny))
-        for r, s in blocks:
-            block, tap = out[r:s], scratch[:s - r]
-            for off, col, weight in taps:
-                np.multiply(col[r + off:s + off], weight, out=tap)
-                block += tap
+        block, tap = out[r:s], np.empty((s - r, ny))
+        for off, col, weight in taps:
+            np.multiply(col[r + off:s + off], weight, out=tap)
+            block += tap
 
-    _run_pieces(convolve, nx, out.size * w.size)
+    _run_blocks(convolve, nx, 8 * ny, out.size * w.size)
     wall_worst = _wall_max(out)
     if wall_worst > 1e-12:
         raise ValueError(

@@ -119,9 +119,8 @@ class PressureSolution:
 
 
 def _by_x_rows(stencil, vals: np.ndarray) -> np.ndarray:
-    """stencil(v, out) applied to x-row blocks v of vals, writing the same
-    rows of a new array; the whole array at once under the block runner's
-    size rule."""
+    """stencil(v, out) applied to the x-row blocks v of vals of the block
+    runner, writing the same rows of a new array."""
     out = np.empty_like(vals)
     _run_blocks(lambda a, b: stencil(vals[a:b], out[a:b]), vals.shape[0],
                 vals.itemsize * vals.shape[1], vals.size)
@@ -299,15 +298,12 @@ class TrigPoly2D:
         out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
         for amp, kx, ky, basis in self.terms:
             fx, fy = _BASIS[basis]
-            out += amp * fx(kx * math.pi * x) * fy(ky * math.pi * y)
+            out += amp * (fx(kx * math.pi * x) * fy(ky * math.pi * y))
         return out
 
     def sample(self, grid: ChannelGrid) -> np.ndarray:
-        out = np.zeros((grid.nx, grid.ny))
-        for amp, kx, ky, basis in self.terms:
-            fx, fy = _BASIS[basis]
-            out += amp * np.outer(fx(kx * math.pi * grid.x), fy(ky * math.pi * grid.y))
-        return out
+        """Node values on the grid: the series on its axes, broadcast."""
+        return self.evaluate(grid.x[:, None], grid.y[None, :])
 
 
 def random_symmetric_trig_field(seed: int):

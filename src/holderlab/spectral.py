@@ -17,18 +17,19 @@ k_x^2 plus the y-eigenvalue, and the two inverse transforms.  The x-FFT
 goes first, which measured slightly faster than the other order on tall
 grids.
 
-Every transform is a ``scipy.fft`` call under the block runner's size
-rule (:mod:`holderlab.fields`).  An input under ``_PARALLEL_NODES`` values
-takes one whole-array call with one worker.  On a larger input the
-x-transforms run on blocks of columns whose spectra take about
-``_BLOCK_BYTES``, each block transposed so that its x-lines are rows, one
-worker per block and the blocks spread over the pieces of the block
-runner.  An x-derivative takes its rfft, symbol and irfft inside the
-block, so it makes no whole-grid spectrum.  Fields are stored with x
-slowest, so an x-line is strided by the row length; a whole-array x-FFT
-reads each line from main memory, a block from cache.  The y-transforms
-stay whole-array calls with every CPU as ``workers``.  No 1-D transform
-depends on the partition or the worker count.
+Every transform is a ``scipy.fft`` call under the size rule of the block
+runner, ``fields._run_blocks``.  An input under ``_PARALLEL_NODES``
+values takes one whole-array call with one worker: there the size
+selects a strided whole-array FFT rather than blocks.  On a larger input
+the x-transforms run on the runner's blocks of columns, whose spectra
+take about ``_BLOCK_BYTES``, each block transposed so that its x-lines
+are rows, with one worker per block.  An x-derivative takes its rfft,
+symbol and irfft inside the block, so it makes no whole-grid spectrum.
+Fields are stored with x slowest, so an x-line is strided by the row
+length; a whole-array x-FFT reads each line from main memory, a block
+from cache.  The y-transforms stay whole-array calls with every CPU as
+``workers``.  No 1-D transform depends on the partition or the worker
+count.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def _along_x(step, src: np.ndarray, n: int, dtype) -> np.ndarray:
 
     Under ``_PARALLEL_NODES`` values it is one whole-array step(src, 0).
     Otherwise each block of columns of src goes through step transposed,
-    out[:, a:b] = step(src[:, a:b].T, 1).T, on the block runner; a block's
-    largest array, its spectrum, takes about ``_BLOCK_BYTES``.
+    out[:, a:b] = step(src[:, a:b].T, 1).T, on the blocks of
+    :func:`_run_blocks`; a block's largest array, its spectrum, takes about
+    ``_BLOCK_BYTES``.
     """
     if src.size < fields._PARALLEL_NODES:
         return step(src, 0)

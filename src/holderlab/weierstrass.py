@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ChannelField, ChannelGrid, _blocks, _run_pieces
+from .fields import ChannelField, ChannelGrid, _run_blocks
 from .trig import cospi_array, sinpi_array
 
 __all__ = [
@@ -68,9 +68,9 @@ def _add_terms(out: np.ndarray, terms, on_grid_axes: bool) -> None:
 
     On a grid's axes (every a a column, every b a row) all terms are
     built first, on the 1-D axes and on the calling thread; the products
-    then go into x-row blocks of out, every product into one block before
-    the next block, with one block of scratch per piece of the block
-    runner.  Otherwise the terms are added one at a time through one
+    then go into the x-row blocks of :func:`_run_blocks`, every product
+    into one block before the next block, with one block of scratch per
+    block.  Otherwise the terms are added one at a time through one
     scratch array of out's element shape.
     """
     if not on_grid_axes:
@@ -82,15 +82,12 @@ def _add_terms(out: np.ndarray, terms, on_grid_axes: bool) -> None:
     products = [prod for term in terms for prod in term]
     nx, ny = out.shape[1:]
 
-    def add(start, stop):
-        blocks = _blocks(start, stop, 8 * ny)
-        scratch = np.empty((blocks[0][1] - blocks[0][0], ny))
-        for a, b in blocks:
-            block, t = out[:, a:b], scratch[:b - a]
-            for c, op, col, row in products:
-                op(block[c], np.multiply(col[a:b], row, out=t), out=block[c])
+    def add(a, b):
+        block, t = out[:, a:b], np.empty((b - a, ny))
+        for c, op, col, row in products:
+            op(block[c], np.multiply(col[a:b], row, out=t), out=block[c])
 
-    _run_pieces(add, nx, out.size)
+    _run_blocks(add, nx, 8 * ny, out.size)
 
 
 def _velocity_terms(p: WeierstrassParams, x: np.ndarray, y: np.ndarray):

@@ -2,6 +2,9 @@ import argparse
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,11 +248,28 @@ def test_option_table_parser_and_manifest_agree(tmp_path, monkeypatch, capsys, c
         assert f"{flag} {flag[2:].upper()} {text}" in shown
 
 
+_DIGESTS = Path(__file__).parents[1] / "tools" / "output_digests.py"
+
+
 def test_output_digests_runs_every_command_with_valid_flags():
-    path = Path(__file__).parents[1] / "tools" / "output_digests.py"
-    spec = importlib.util.spec_from_file_location("output_digests", path)
+    spec = importlib.util.spec_from_file_location("output_digests", _DIGESTS)
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
     parser = cli.build_parser()
     ran = {parser.parse_args(c.split()).command for c in digests.COMMANDS}
     assert ran == set(cli.COMMANDS)
+
+
+def test_output_digests_stops_when_no_holderlab_runs(tmp_path):
+    # a holderlab whose cli fails shadows any other copy: the script must
+    # print no digests and exit 2, not report ten failed commands
+    fake = tmp_path / "holderlab"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    run = subprocess.run([sys.executable, str(_DIGESTS)], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "--version" in run.stderr

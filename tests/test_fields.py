@@ -309,6 +309,39 @@ def test_shift_maxima_matches_the_roll_oracle(log2_nx, ny, components, seed, dat
     assert np.array_equal(scalar, got[:, 0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    row_bytes=st.one_of(st.integers(1, 64),
+                        st.integers(fields._BLOCK_BYTES // 400, 2 * fields._BLOCK_BYTES)),
+    cpus=st.integers(1, 3),
+    parallel=st.booleans(),
+)
+def test_run_blocks_tiles_its_range_in_order_within_pieces(n, row_bytes, cpus, parallel):
+    # the blocks come back in order, cover range(n) once, hold at most
+    # _BLOCK_BYTES // row_bytes rows (at least one) and stay inside one
+    # piece of the size rule; the caller runs the first piece
+    work = fields._PARALLEL_NODES if parallel else fields._PARALLEL_NODES - 1
+    pieces = min(n, cpus if parallel else 1)
+    bounds = [n * i // pieces for i in range(pieces + 1)]
+    threads = {}
+
+    def block(a, b):
+        threads[a] = threading.get_ident()
+        return a, b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_CPUS", cpus)
+        got = fields._run_blocks(block, n, row_bytes, work)
+    assert [a for a, _ in got] == [0] + [b for _, b in got[:-1]]
+    assert got[-1][1] == n and all(a < b for a, b in got)
+    assert all(b - a <= max(1, fields._BLOCK_BYTES // row_bytes) for a, b in got)
+    for a, b in got:
+        i = max(i for i in range(pieces) if bounds[i] <= a)
+        assert b <= bounds[i + 1]
+        assert i > 0 or threads[a] == threading.get_ident()
+
+
 def test_concurrent_callers_share_the_block_runner():
     # more calling threads than cores, each scanning through three pieces
     # of one-row blocks with a short switch interval: every scan still

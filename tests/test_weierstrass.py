@@ -90,7 +90,7 @@ def test_grid_samplers_match_pointwise_evaluation_bitwise(log2_nx, ny, alpha, n_
 
 
 def test_package_functions_stay_on_the_calling_thread(monkeypatch):
-    # the block runner's pieces run numpy only: every traced package
+    # the block runner's blocks run numpy only: every traced package
     # function runs on the caller's thread, and velocity_field evaluates
     # the series once on the whole grid
     grid = ChannelGrid(512, 513)
@@ -111,22 +111,22 @@ def test_package_functions_stay_on_the_calling_thread(monkeypatch):
                          (weierstrass, "sinpi_array"), (weierstrass, "cospi_array"),
                          (weierstrass, "eval_velocity"), (weierstrass, "eval_stream")):
         recorded(module, name)
-    pieces = []
-    run_pieces = weierstrass._run_pieces
+    blocks = []
+    run_blocks = weierstrass._run_blocks
 
-    def recorded_pieces(fn, n, nodes):
-        def piece(a, b):
-            pieces.append(threading.get_ident())
+    def recorded_blocks(fn, n, row_bytes, work):
+        def block(a, b):
+            blocks.append(threading.get_ident())
             return fn(a, b)
-        return run_pieces(piece, n, nodes)
+        return run_blocks(block, n, row_bytes, work)
 
-    monkeypatch.setattr(weierstrass, "_run_pieces", recorded_pieces)
+    monkeypatch.setattr(weierstrass, "_run_blocks", recorded_blocks)
     p = WeierstrassParams(alpha=0.3, n_terms=3)
     velocity_field(p, grid)
     stream_field(p, grid)
     caller = threading.get_ident()
     assert {ident for _, ident, _ in calls} == {caller}
-    assert caller in pieces and len(set(pieces)) > 1  # the pool ran pieces too
+    assert caller in blocks and len(set(blocks)) > 1  # the pool ran blocks too
     series = [(name, args) for name, _, args in calls if name.startswith("eval_")]
     assert [name for name, _ in series] == ["eval_velocity", "eval_stream"]
     for _, (_, x, y) in series:

@@ -11,6 +11,10 @@ temporary path, so two source trees produce the same byte output exactly
 when their CLI outputs and exit codes agree:
 
     PYTHONPATH=src python tools/output_digests.py > after.txt
+
+When ``python -m holderlab.cli --version`` fails under the same
+environment, no ``holderlab`` is importable: it prints no digests, says so
+on stderr and exits with code 2.
 """
 
 from __future__ import annotations
@@ -44,6 +48,13 @@ def main() -> int:
         env["PYTHONPATH"] = os.pathsep.join(
             os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
     with tempfile.TemporaryDirectory() as tmp:
+        if subprocess.run([sys.executable, "-m", "holderlab.cli", "--version"], cwd=tmp,
+                          env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode != 0:
+            print("output_digests: `python -m holderlab.cli --version` failed; "
+                  "set PYTHONPATH to a source tree (for example PYTHONPATH=src)",
+                  file=sys.stderr)
+            return 2
         for command in COMMANDS:
             args = command.split()
             code = subprocess.run([sys.executable, "-m", "holderlab.cli", *args], cwd=tmp,
