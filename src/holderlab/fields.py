@@ -20,13 +20,16 @@ an index range into one contiguous piece per CPU this process may use, cuts
 each piece into blocks of about ``_BLOCK_BYTES``, and runs the first piece
 on the calling thread and the rest on a thread pool made on first use.  The
 kernels are this scan, the lacunary samplers of
-:mod:`holderlab.weierstrass`, the mollifier's taps, and the Poisson layer:
-the y-stencils of :mod:`holderlab.pressure` in x-row blocks and the x-FFTs
-of :mod:`holderlab.spectral` in transposed column blocks (its y-transforms
-take ``workers`` by the same size rule).  Work under ``_PARALLEL_NODES``
-values (the array's size; for the mollifier, nodes times taps) runs as one
-piece on the calling thread, where the x-FFTs make one whole-array call
-instead of blocks.  The pieces run numpy and ``scipy.fft`` only, and each
+:mod:`holderlab.weierstrass`, the mollifier's taps, and the Poisson layer.
+In :mod:`holderlab.spectral` the x-FFTs run in transposed column blocks and
+the y-solves in blocks of x-mode rows; in :mod:`holderlab.pressure` the
+y-stencils run in x-row blocks, and the modified-pressure solve is three
+passes: column blocks with one halo column each side (the right-hand side
+and its spectrum), x-mode row blocks (the y-solve) and column blocks again
+(P and its residual).  Work under ``_PARALLEL_NODES`` values (the array's
+size; for the mollifier, nodes times taps) runs as one piece on the calling
+thread, where the spectral x-FFTs make one whole-array call instead of
+blocks.  The pieces run numpy and ``scipy.fft`` only, and each
 result element is computed by the same operations whatever the partition,
 so results do not depend on the core count.
 
@@ -119,8 +122,8 @@ def _run_blocks(fn, n: int, row_bytes: int, work: int) -> list:
     range(n) is cut into one contiguous piece per worker of
     :func:`_workers` (work), and each piece into blocks of
     max(1, ``_BLOCK_BYTES`` // row_bytes) rows.  The calling thread runs the
-    first piece's blocks and the pool the rest.  fn may call numpy and
-    private helpers but no public package function, so that every such
+    first piece's blocks and the pool the rest.  fn may call numpy, scipy
+    and private helpers but no public package function, so that every such
     call, and any profiler's record of it, stays on the calling thread.
     """
     pieces = max(1, min(n, _workers(work)))

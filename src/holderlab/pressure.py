@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
 # holder_quotient is not called here.  It stays imported because the
 # benchmark's instrumentation test (perfbench/test_perfbench.py) checks,
@@ -42,7 +43,7 @@ from .fields import (  # noqa: F401
     check_tangential,
     holder_quotient,
 )
-from .spectral import solve_poisson, spectral_dx, spectral_dxx
+from .spectral import _derivative, _x_symbol, _y_solve, solve_poisson, spectral_dx, spectral_dxx
 from .tracelab import TestFunction
 
 __all__ = [
@@ -118,51 +119,62 @@ class PressureSolution:
     compatibility_defect: float
 
 
-def _by_x_rows(stencil, vals: np.ndarray) -> np.ndarray:
-    """stencil(v, out) applied to the x-row blocks v of vals of the block
+def _by_x_rows(stencil, vals: np.ndarray, hy: float) -> np.ndarray:
+    """stencil(v, out, hy) applied to the x-row blocks v of vals of the block
     runner, writing the same rows of a new array."""
     out = np.empty_like(vals)
-    _run_blocks(lambda a, b: stencil(vals[a:b], out[a:b]), vals.shape[0],
+    _run_blocks(lambda a, b: stencil(vals[a:b], out[a:b], hy), vals.shape[0],
                 vals.itemsize * vals.shape[1], vals.size)
     return out
 
 
-def _dy_odd(vals: np.ndarray, hy: float) -> np.ndarray:
+# The y-stencils write out from v, both with y as the last axis: rows of an
+# x-slow array, or the transpose of an x-fast block.  The first and last y
+# of v are taken as walls; a block that starts or ends inside the channel
+# reads one halo y past each such end and discards what the stencil writes
+# there.
+
+
+def _dy_odd_stencil(v: np.ndarray, out: np.ndarray, hy: float) -> None:
     """Centered y-derivative; walls use odd-reflection ghosts."""
+    mid = np.subtract(v[:, 2:], v[:, :-2], out=out[:, 1:-1])
+    mid /= 2.0 * hy
+    out[:, 0] = v[:, 1] / hy
+    out[:, -1] = -v[:, -2] / hy
 
-    def stencil(v, out):
-        mid = np.subtract(v[:, 2:], v[:, :-2], out=out[:, 1:-1])
-        mid /= 2.0 * hy
-        out[:, 0] = v[:, 1] / hy
-        out[:, -1] = -v[:, -2] / hy
 
-    return _by_x_rows(stencil, vals)
+def _dyy_even_stencil(v: np.ndarray, out: np.ndarray, hy: float) -> None:
+    """Centered second y-derivative; walls use even-reflection ghosts."""
+    # (v[j+1] - 2 v[j] + v[j-1]) / hy^2, evaluated in that order
+    mid = np.multiply(v[:, 1:-1], 2.0, out=out[:, 1:-1])
+    np.subtract(v[:, 2:], mid, out=mid)
+    mid += v[:, :-2]
+    mid /= hy**2
+    out[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / hy**2
+    out[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / hy**2
+
+
+def _dy_odd(vals: np.ndarray, hy: float) -> np.ndarray:
+    return _by_x_rows(_dy_odd_stencil, vals, hy)
 
 
 def _dyy_even(vals: np.ndarray, hy: float) -> np.ndarray:
-    """Centered second y-derivative; walls use even-reflection ghosts."""
-
-    def stencil(v, out):
-        # (v[j+1] - 2 v[j] + v[j-1]) / hy^2, evaluated in that order
-        mid = np.multiply(v[:, 1:-1], 2.0, out=out[:, 1:-1])
-        np.subtract(v[:, 2:], mid, out=mid)
-        mid += v[:, :-2]
-        mid /= hy**2
-        out[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / hy**2
-        out[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / hy**2
-
-    return _by_x_rows(stencil, vals)
+    return _by_x_rows(_dyy_even_stencil, vals, hy)
 
 
-def _trapezoid_weights(ny: int) -> np.ndarray:
-    z = np.ones(ny)
+def _trapezoid_mean(column_means: np.ndarray) -> float:
+    """The trapezoid rule in y over the x-means of the columns."""
+    z = np.ones(column_means.size)
     z[0] = z[-1] = 0.5
-    return z
+    return float(column_means @ z / z.sum())
 
 
-def _channel_mean(vals: np.ndarray, grid: ChannelGrid) -> float:
-    z = _trapezoid_weights(grid.ny)
-    return float(np.mean(vals, axis=0) @ z / z.sum())
+def _x_means(lines: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The mean of each x-line (row) of an x-fast block, summed in x order
+    through scratch of the block's shape.  That is bitwise the column mean
+    np.mean(vals, axis=0) of the x-slow array; a pairwise sum along each
+    row would not be."""
+    return np.add.accumulate(lines, axis=1, out=scratch)[:, -1] / lines.shape[1]
 
 
 def _double_divergence(F11, F12, F22, grid: ChannelGrid) -> np.ndarray:
@@ -178,46 +190,104 @@ def _double_divergence(F11, F12, F22, grid: ChannelGrid) -> np.ndarray:
     return rhs
 
 
-def _assemble_rhs(u: ChannelField, G: np.ndarray) -> np.ndarray:
-    """d_i d_j (u_i u_j) - lap(G), G = phi * u2^2, summed left to right."""
-    grid = u.grid
-    u1, u2 = u.values[0], u.values[1]
-    rhs = _double_divergence(lambda: u1 * u1, lambda: u1 * u2, lambda: u2 * u2, grid)
-    rhs -= spectral_dxx(G, grid)
-    rhs -= _dyy_even(G, grid.hy)
-    return rhs
-
-
 def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolution:
     """Solve the Neumann problem for the modified pressure.
 
-    The diagnostics reuse the right-hand side and the Laplacian of P in
-    place, and p is written over G = phi * u2^2 once G's mean is taken.
+    The solve is three passes over blocks of the block runner, each block
+    worked through in cache:
+
+    1. per block of y-columns, with one halo column each side: u1 and u2
+       moved x-fast, the products, the y-stencils and the x-derivatives of
+       the right-hand side, summed in the order of
+       :func:`_double_divergence` minus lap(G), G = phi * u2^2; the block's
+       rhs kept x-fast, its rfft written into the spectrum, and its max
+       |rhs| and the x-means of its rhs and G columns taken;
+    2. per block of x-mode rows: the y-solve of :func:`spectral._y_solve`;
+    3. per block of y-columns, with halos: the irfft to P's columns, and
+       from the same x-fast block lap(P) + rhs - mean(rhs), its max, and
+       the x-means of P's columns.
+
+    Each element and each x-mean takes the same floating-point operations
+    as the whole-array expressions, so nothing depends on the partition.
+    Then P is shifted to the channel mean of G, and p = P - G is written,
+    with G recomputed elementwise, into the buffer that held the rhs.  At
+    most the rhs, the spectrum, P and one block's buffers per piece are
+    alive at a time.
     """
     check_tangential(u)
     grid = u.grid
-    u2 = u.values[1]
-    G = u2 * u2
-    G *= phi.on_grid(grid)[None, :]
-    rhs = _assemble_rhs(u, G)
-    P = solve_poisson(rhs, grid, "neumann")
+    nx, ny, hy = grid.nx, grid.ny, grid.hy
+    u1, u2 = u.values[0], u.values[1]
+    phi_y = phi.on_grid(grid)
+    dx, dxx = _x_symbol(grid, 1), _x_symbol(grid, 2)
+    p_vals = np.empty((nx, ny))
+    rhs = p_vals.reshape(ny, nx)  # x-fast, in the buffer that p takes over
+    hat = np.empty((nx // 2 + 1, ny), complex)
 
-    rhs_scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    rhs_mean = _channel_mean(rhs, grid)
-    lap = spectral_dxx(P, grid)
-    lap += _dyy_even(P, grid.hy)
-    rhs -= rhs_mean
-    lap += rhs
-    pde_residual = float(np.abs(lap, out=lap).max()) / rhs_scale
+    def window(a, b):
+        """The columns a..b-1 with a halo column each side inside the
+        channel, and where a..b-1 sit in them."""
+        lo, hi = max(a - 1, 0), min(b + 1, ny)
+        return lo, hi, slice(a - lo, b - lo)
 
-    G_mean = _channel_mean(G, grid)
-    P += G_mean - _channel_mean(P, grid)
-    p_vals = np.subtract(P, G, out=G)
+    def assemble(a, b):
+        lo, hi, s = window(a, b)
+        v1, v2 = u1[:, lo:hi].T.copy(), u2[:, lo:hi].T.copy()
+        r = _derivative(v1[s] * v1[s], 1, dxx, 2)
+        dq = np.empty_like(v1)
+        _dy_odd_stencil(np.multiply(v1, v2, out=v1).T, dq.T, hy)
+        del v1
+        term = _derivative(dq[s], 1, dx, 1)
+        term *= 2.0
+        r += term
+        del term
+        g = np.multiply(v2, v2, out=v2)  # u2^2, then G, in v2's buffer
+        _dyy_even_stencil(g.T, dq.T, hy)
+        r += dq[s]
+        g *= phi_y[lo:hi, None]
+        r -= _derivative(g[s], 1, dxx, 2)
+        _dyy_even_stencil(g.T, dq.T, hy)
+        r -= dq[s]
+        rhs[a:b] = r
+        hat[:, a:b] = scipy.fft.rfft(r, axis=1, workers=1).T
+        scratch = dq[s]
+        return np.abs(r, out=scratch).max(), _x_means(r, scratch), _x_means(g[s], scratch)
+
+    # a block holds at most five x-fast buffers at a time, one of them a
+    # spectrum; as in spectral._along_x, its spectrum takes _BLOCK_BYTES
+    blocks = _run_blocks(assemble, ny, 16 * (nx // 2 + 1), nx * ny)
+    rhs_scale = max(float(np.max([m for m, _, _ in blocks])), 1e-300)
+    rhs_mean = _trapezoid_mean(np.concatenate([r for _, r, _ in blocks]))
+    G_mean = _trapezoid_mean(np.concatenate([g for _, _, g in blocks]))
+
+    _y_solve(hat, grid, "neumann")
+
+    P = np.empty((nx, ny))
+
+    def back(a, b):
+        lo, hi, s = window(a, b)
+        w = scipy.fft.irfft(hat[:, lo:hi].T, nx, axis=1, workers=1)
+        P[:, a:b] = w[s].T
+        lap = _derivative(w[s], 1, dxx, 2)
+        dq = np.empty_like(w)
+        _dyy_even_stencil(w.T, dq.T, hy)
+        lap += dq[s]
+        lap += np.subtract(rhs[a:b], rhs_mean, out=dq[s])
+        return np.abs(lap, out=lap).max(), _x_means(w[s], dq[s])
+
+    blocks = _run_blocks(back, ny, 16 * (nx // 2 + 1), nx * ny)
+    pde_residual = float(np.max([m for m, _ in blocks])) / rhs_scale
+    del rhs, hat
+
+    P += G_mean - _trapezoid_mean(np.concatenate([m for _, m in blocks]))
+    np.multiply(u2, u2, out=p_vals)
+    p_vals *= phi_y[None, :]
+    np.subtract(P, p_vals, out=p_vals)
     neumann = max(
         float(np.max(np.abs(P[:, 1] - P[:, 0]))),
         float(np.max(np.abs(P[:, -1] - P[:, -2]))),
     ) / grid.hy
-    mean_res = abs(_channel_mean(P, grid) - G_mean)
+    mean_res = abs(_trapezoid_mean(np.mean(P, axis=0)) - G_mean)
     return PressureSolution(
         P=ChannelField._adopt(grid, P),
         p=ChannelField._adopt(grid, p_vals),

@@ -18,18 +18,22 @@ goes first, which measured slightly faster than the other order on tall
 grids.
 
 Every transform is a ``scipy.fft`` call under the size rule of the block
-runner, ``fields._run_blocks``.  An input under ``_PARALLEL_NODES``
-values takes one whole-array call with one worker: there the size
-selects a strided whole-array FFT rather than blocks.  On a larger input
-the x-transforms run on the runner's blocks of columns, whose spectra
-take about ``_BLOCK_BYTES``, each block transposed so that its x-lines
-are rows, with one worker per block.  An x-derivative takes its rfft,
-symbol and irfft inside the block, so it makes no whole-grid spectrum.
+runner, ``fields._run_blocks``, with one worker.  An x-transform of an
+input under ``_PARALLEL_NODES`` values is one whole-array call: there the
+size selects a strided whole-array FFT rather than blocks.  On a larger
+input the x-transforms run on the runner's blocks of columns, whose
+spectra take about ``_BLOCK_BYTES``, each block transposed so that its
+x-lines are rows.  An x-derivative takes its rfft, symbol and irfft
+inside the block (``_derivative``), so it makes no whole-grid spectrum.
 Fields are stored with x slowest, so an x-line is strided by the row
 length; a whole-array x-FFT reads each line from main memory, a block
-from cache.  The y-transforms stay whole-array calls with every CPU as
-``workers``.  No 1-D transform depends on the partition or the worker
-count.
+from cache.  The y-part of a solve (the y-transform, the division by the
+symbol and the inverse, ``_y_solve``) always runs on the runner's blocks
+of x-mode rows, whose y-lines are contiguous in either form, so no size
+selects another path.  The modified-pressure solve of
+:mod:`holderlab.pressure` runs these same line kernels inside its own
+three block passes.  No 1-D transform depends on the partition or the
+worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 import scipy.fft
 
 from . import fields
-from .fields import ChannelGrid, _run_blocks, _workers
+from .fields import ChannelGrid, _run_blocks
 
 __all__ = ["x_wavenumbers", "spectral_dx", "spectral_dxx", "solve_poisson"]
 
@@ -73,20 +77,29 @@ def _along_x(step, src: np.ndarray, n: int, dtype) -> np.ndarray:
     return out
 
 
-def _x_derivative(vals: np.ndarray, grid: ChannelGrid, order: int) -> np.ndarray:
-    """The first or second x-derivative: rfft, times the symbol, irfft."""
+def _x_symbol(grid: ChannelGrid, order: int) -> np.ndarray:
+    """The rfft-mode symbol of the first or second x-derivative."""
     k = x_wavenumbers(grid)
-    symbol = 1j * k if order == 1 else -(k**2)
+    return 1j * k if order == 1 else -(k**2)
 
-    def derivative(lines, axis):
-        hat = scipy.fft.rfft(lines, axis=axis, workers=1)
-        modes = np.moveaxis(hat, axis, -1)  # a view of hat with x last
-        modes *= symbol
-        if order == 1:
-            modes[..., -1] = 0.0
-        return scipy.fft.irfft(hat, grid.nx, axis=axis, overwrite_x=True, workers=1)
 
-    return _along_x(derivative, vals, grid.nx, float)
+def _derivative(lines: np.ndarray, axis: int, symbol: np.ndarray, order: int) -> np.ndarray:
+    """The order-th x-derivative of every x-line of lines along axis, with
+    one worker: rfft, times the symbol of :func:`_x_symbol`, irfft.  The
+    first derivative drops the Nyquist mode (nx is even)."""
+    hat = scipy.fft.rfft(lines, axis=axis, workers=1)
+    modes = np.moveaxis(hat, axis, -1)  # a view of hat with x last
+    modes *= symbol
+    if order == 1:
+        modes[..., -1] = 0.0
+    return scipy.fft.irfft(hat, 2 * (symbol.size - 1), axis=axis, overwrite_x=True,
+                           workers=1)
+
+
+def _x_derivative(vals: np.ndarray, grid: ChannelGrid, order: int) -> np.ndarray:
+    symbol = _x_symbol(grid, order)
+    return _along_x(lambda lines, axis: _derivative(lines, axis, symbol, order), vals,
+                    grid.nx, float)
 
 
 def spectral_dx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
@@ -97,6 +110,48 @@ def spectral_dx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
 def spectral_dxx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """Second x-derivative by FFT."""
     return _x_derivative(vals, grid, 2)
+
+
+def _y_transforms(bc: str):
+    """(rhs rows, forward, inverse, first y-mode) of a wall closure."""
+    if bc == "dirichlet":
+        return slice(1, -1), scipy.fft.dst, scipy.fft.idst, 1
+    if bc == "neumann":
+        return slice(None), scipy.fft.dct, scipy.fft.idct, 0
+    raise ValueError(f"bc must be 'dirichlet' or 'neumann', got {bc!r}")
+
+
+def _y_solve_rows(hat: np.ndarray, start: int, k2: np.ndarray, lam: np.ndarray,
+                  bc: str) -> None:
+    """The y-part of the Poisson kernel, in place, on the x-mode rows
+    start, start + 1, ... of a spectrum hat whose columns are y: the type-1
+    y-transform, a division by k_x^2 + the y-eigenvalue, and the inverse,
+    with one worker.  k2 holds k_x^2 of every x-mode and lam the
+    y-eigenvalues.  The Neumann mode (k_x = 0, cosine index 0) is set to
+    zero."""
+    _, forward, inverse, _ = _y_transforms(bc)
+    out = forward(hat, type=1, axis=1, overwrite_x=True, workers=1)
+    symbol = k2[start:start + len(hat), None] + lam
+    if bc == "neumann" and start == 0:
+        out[0, 0] = 0.0
+        symbol[0, 0] = 1.0
+    out /= symbol
+    out = inverse(out, type=1, axis=1, overwrite_x=True, workers=1)
+    if not np.may_share_memory(out, hat):  # scipy transformed a copy
+        hat[...] = out
+
+
+def _y_solve(hat: np.ndarray, grid: ChannelGrid, bc: str) -> None:
+    """:func:`_y_solve_rows` on every x-mode row of hat, in place, on the
+    row blocks of :func:`_run_blocks`, whose spectra take about
+    ``_BLOCK_BYTES``."""
+    ny = grid.ny
+    m0 = _y_transforms(bc)[3]
+    m = np.arange(m0, ny - m0)
+    k2 = x_wavenumbers(grid) ** 2
+    lam = ((2.0 / grid.hy) * np.sin(0.5 * math.pi * m / (ny - 1))) ** 2
+    _run_blocks(lambda a, b: _y_solve_rows(hat[a:b], a, k2, lam, bc), hat.shape[0],
+                hat.itemsize * hat.shape[1], hat.size)
 
 
 def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
@@ -110,26 +165,11 @@ def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
     of rhs; it is projected out, so u solves -lap(u) = rhs - mean and
     has zero trapezoid mean.
     """
-    if bc == "dirichlet":
-        rows, forward, inverse, m0 = slice(1, -1), scipy.fft.dst, scipy.fft.idst, 1
-    elif bc == "neumann":
-        rows, forward, inverse, m0 = slice(None), scipy.fft.dct, scipy.fft.idct, 0
-    else:
-        raise ValueError(f"bc must be 'dirichlet' or 'neumann', got {bc!r}")
-    ny, nx = grid.ny, grid.nx
+    rows = _y_transforms(bc)[0]
+    nx = grid.nx
     hat = _along_x(lambda lines, axis: scipy.fft.rfft(lines, axis=axis, workers=1),
                    rhs[:, rows], nx // 2 + 1, complex)
-    workers = _workers(hat.size)
-    hat = forward(hat, type=1, axis=1, overwrite_x=True, workers=workers)
-    m = np.arange(m0, ny - m0)
-    symbol = x_wavenumbers(grid)[:, None] ** 2 + (
-        (2.0 / grid.hy) * np.sin(0.5 * math.pi * m / (ny - 1))) ** 2
-    if bc == "neumann":
-        hat[0, 0] = 0.0
-        symbol[0, 0] = 1.0
-    hat /= symbol
-    del symbol  # free it before the inverse transforms allocate
-    hat = inverse(hat, type=1, axis=1, overwrite_x=True, workers=workers)
+    _y_solve(hat, grid, bc)
     u = _along_x(lambda lines, axis: scipy.fft.irfft(lines, nx, axis=axis, overwrite_x=True,
                                                      workers=1), hat, nx, float)
     return u if bc == "neumann" else np.pad(u, ((0, 0), (1, 1)))

@@ -136,15 +136,17 @@ def test_holder_scan_peak_memory(two_pieces):
 
 
 def test_modified_pressure_solve_peak_memory():
-    # P, G (which becomes p), the RHS and at most one product, one
-    # derivative and one spectral buffer at a time
+    # the block passes keep the RHS (in the buffer that becomes p), its
+    # spectrum and P, and one block's buffers at a time: at most five
+    # x-fast buffers of its columns, one of them a spectrum of about
+    # _BLOCK_BYTES (on this grid, half the columns)
     u = velocity_field(WeierstrassParams(0.25, 8), TALL)
     assert _traced_peak_arrays(TALL, solve_modified_pressure, u,
                                CutoffProfile(delta=0.2)) <= 6.0
 
 
 def test_blocked_modified_pressure_solve_peak_memory(two_pieces):
-    # the same bound when the x-FFTs and y-stencils run in blocks
+    # the RHS, its spectrum and P, and the buffers of one block per piece
     u = velocity_field(WeierstrassParams(0.25, 8), WIDE)
     assert _traced_peak_arrays(WIDE, solve_modified_pressure, u,
                                CutoffProfile(delta=0.2)) <= 6.0

@@ -27,7 +27,6 @@ from conftest import (
     dy_odd_by_expression,
     dyy_even_by_expression,
     modified_pressure_by_expression,
-    rhs_by_expression,
 )
 
 PHI = CutoffProfile(delta=0.2)
@@ -357,11 +356,37 @@ def test_in_place_solve_matches_the_expression_oracle_bitwise(log2_nx, ny, delta
     u1, hy = u.values[0], grid.hy
     assert pressure._dy_odd(u1, hy).tobytes() == dy_odd_by_expression(u1, hy).tobytes()
     assert pressure._dyy_even(u1, hy).tobytes() == dyy_even_by_expression(u1, hy).tobytes()
-    phi_y = phi.on_grid(grid)
-    G = u.values[1] ** 2 * phi_y[None, :]
-    assert pressure._assemble_rhs(u, G).tobytes() == rhs_by_expression(u, phi_y).tobytes()
     sol = solve_modified_pressure(u, phi)
     want = modified_pressure_by_expression(u, phi)
+    assert sol.P.values[0].tobytes() == want["P"].tobytes()
+    assert sol.p.values[0].tobytes() == want["p"].tobytes()
+    for name in ("mean_constraint_residual", "neumann_residual", "pde_residual",
+                 "compatibility_defect"):
+        assert getattr(sol, name) == want[name], name
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(3, 40),
+    delta=st.floats(0.01, 0.24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_block_passes_match_the_expression_oracle_bitwise(log2_nx, ny, delta, seed, data):
+    # blocks from one column (each wall alone in its block, a halo at every
+    # block edge) to the whole grid, in one to three pieces (ny = 3 in
+    # three pieces puts a piece edge at every column)
+    grid = ChannelGrid(2**log2_nx, ny)
+    vals = np.random.default_rng(seed).standard_normal((2, grid.nx, ny))
+    vals[1, :, 0] = vals[1, :, -1] = 0.0
+    u = ChannelField(grid, vals)
+    phi = CutoffProfile(delta=delta)
+    want = modified_pressure_by_expression(u, phi)
+    block_bytes = data.draw(st.one_of(st.sampled_from([8, 1 << 30]),
+                                      st.integers(8, 64 * 56 * grid.nx)))
+    with block_partition(block_bytes, data.draw(st.integers(1, 3))):
+        sol = solve_modified_pressure(u, phi)
     assert sol.P.values[0].tobytes() == want["P"].tobytes()
     assert sol.p.values[0].tobytes() == want["p"].tobytes()
     for name in ("mean_constraint_residual", "neumann_residual", "pde_residual",

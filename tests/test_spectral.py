@@ -10,7 +10,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holderlab import fields
+from holderlab import fields, spectral
 from holderlab.fields import ChannelGrid
 from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx, x_wavenumbers
 
@@ -149,12 +149,39 @@ def test_every_worker_count_matches_whole_array_numpy_ffts_bitwise(log2_nx, ny, 
         assert g.tobytes() == w.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_nx=st.integers(2, 6),
+    ny=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    bc=st.sampled_from(["dirichlet", "neumann"]),
+    data=st.data(),
+)
+def test_row_blocked_y_solve_matches_the_whole_array_solve_bitwise(log2_nx, ny, seed, bc,
+                                                                   data):
+    # the y-solve on x-mode row blocks, from one row (the singular Neumann
+    # mode alone) to every row, in one to three pieces, between the x-FFTs
+    # of the solve; these spectra fit in one default block, so the
+    # reference solve makes one whole-array y-transform call
+    grid = ChannelGrid(nx=2**log2_nx, ny=ny)
+    rhs = np.random.default_rng(seed).standard_normal((grid.nx, ny))
+    want = solve_poisson(rhs, grid, bc)
+    rows = spectral._y_transforms(bc)[0]
+    hat = scipy.fft.rfft(rhs[:, rows], axis=0, workers=1)
+    block_bytes = data.draw(st.sampled_from([8, 24 * ny, 3 * 24 * ny, 1 << 30]))
+    with block_partition(block_bytes, data.draw(st.integers(1, 3))):
+        spectral._y_solve(hat, grid, bc)
+    got = np.zeros_like(rhs)
+    got[:, rows] = scipy.fft.irfft(hat, grid.nx, axis=0, workers=1)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_transforms_take_workers_by_the_block_runners_size_rule(monkeypatch):
-    # an input under _PARALLEL_NODES values takes one whole-array call on one
-    # worker (a second worker on a 64-256 grid measured up to about 2x
-    # slower); a larger one has its x-transforms on transposed column blocks
-    # of at most _BLOCK_BYTES, one worker each, and every y-transform takes
-    # _workers of its size
+    # every transform takes one worker (a second worker on a 64-256 grid
+    # measured up to about 2x slower).  An input under _PARALLEL_NODES
+    # values takes one whole-array x-transform call; a larger one has its
+    # x-transforms on transposed column blocks.  The y-transforms always run
+    # on x-mode row blocks; each block takes at most _BLOCK_BYTES
     seen = []
     for name in ("rfft", "irfft", "dct", "idct", "dst", "idst"):
         def recorded(x, *args, _name=name, _fn=getattr(scipy.fft, name), axis=-1,
@@ -171,24 +198,29 @@ def test_transforms_take_workers_by_the_block_runners_size_rule(monkeypatch):
         for op in ops:
             seen.clear()
             op(vals, grid)
+            assert all(workers == 1 for *_, workers in seen)
             for name in ("rfft", "irfft"):
-                calls = [(shape, nbytes, axis, workers)
-                         for n, shape, nbytes, axis, workers in seen if n == name]
-                assert all(workers == 1 for *_, workers in calls)
+                calls = [(shape, nbytes, axis) for n, shape, nbytes, axis, _ in seen
+                         if n == name]
                 if calls[0][2] == 0:
                     # one whole-array call: every x-line is a column
-                    (shape, _, _, _), = calls
+                    (shape, _, _), = calls
                     assert math.prod(shape) < fields._PARALLEL_NODES
-                    kinds.add("whole")
+                    kinds.add("whole x")
                 else:
                     # transposed column blocks: every x-line is a row
                     assert all(axis == 1 and nbytes <= fields._BLOCK_BYTES
-                               for _, nbytes, axis, _ in calls)
+                               for _, nbytes, axis in calls)
                     assert sum(shape[0] for shape, *_ in calls) in (grid.ny, grid.ny - 2)
                     assert sum(math.prod(shape) for shape, *_ in calls) >= fields._PARALLEL_NODES
-                    kinds.add("blocks")
-            for name, shape, _, axis, workers in seen:
-                if name not in ("rfft", "irfft"):
-                    assert axis == 1 and workers == fields._workers(math.prod(shape))
-                    kinds.add(workers)
-    assert kinds == {"whole", "blocks", 1, 3}
+                    kinds.add("column blocks")
+            for names in (("dct", "dst"), ("idct", "idst")):
+                calls = [(shape, nbytes, axis) for n, shape, nbytes, axis, _ in seen
+                         if n in names]
+                if not calls:
+                    continue  # an x-derivative
+                assert all(axis == 1 for *_, axis in calls)
+                assert sum(shape[0] for shape, *_ in calls) == grid.nx // 2 + 1
+                assert all(nbytes <= fields._BLOCK_BYTES for _, nbytes, _ in calls)
+                kinds.add("row blocks")
+    assert kinds == {"whole x", "column blocks", "row blocks"}
