@@ -62,6 +62,9 @@ __all__ = [
     "CriterionResult",
     "ALL_CRITERIA",
     "GEOMETRY_TOLERANCES",
+    "MAX_DIVERGENCE",
+    "MAX_PRESSURE_RESIDUAL",
+    "MAX_RATIO_SPREAD",
     "run_all",
     "format_result_line",
     "single_mode_flow",
@@ -77,6 +80,16 @@ __all__ = [
     "trace_dichotomy",
     "schauder_ratio",
 ]
+
+
+# bounds that a criterion and a CLI subcommand both check: the largest
+# divergence of a mollified flow (criterion 6, mollify-report), the largest
+# pde and mean residual of a modified-pressure solve (criterion 7,
+# pressure-solve) and the widest spread of a Schauder sweep's ratios
+# (criterion 9, schauder-check)
+MAX_DIVERGENCE = 1e-12
+MAX_PRESSURE_RESIDUAL = 1e-10
+MAX_RATIO_SPREAD = 2.0
 
 
 @dataclass(frozen=True)
@@ -345,7 +358,7 @@ def divergence_free_mollifier() -> CriterionResult:
     errs = report.c_beta_errors[0.25]
     ratios = report.norm_ratios
     checks = {
-        "divergence_le_1e-12": max(report.max_divergences) <= 1e-12,
+        "divergence_le_1e-12": max(report.max_divergences) <= MAX_DIVERGENCE,
         "walls_exactly_zero": all(r == 0.0 for r in report.wall_residuals),
         "c025_error_strictly_decreasing": all(
             a > b for a, b in zip(errs, errs[1:])),
@@ -389,8 +402,8 @@ def pressure_solver() -> CriterionResult:
     spread = max(ratios.values()) / min(ratios.values())
     checks = {
         "single_mode_order_2": all(abs(o - 2.0) <= 0.2 for o in orders),
-        "pde_residual_le_1e-10": max_pde <= 1e-10,
-        "mean_residual_le_1e-10": max_mean <= 1e-10,
+        "pde_residual_le_1e-10": max_pde <= MAX_PRESSURE_RESIDUAL,
+        "mean_residual_le_1e-10": max_mean <= MAX_PRESSURE_RESIDUAL,
         "wall_slope_decays": wall_slopes[2] < wall_slopes[1] < wall_slopes[0]
                              and wall_slopes[2] < 0.5 * wall_slopes[0],
         "ratio_spread_le_5": spread <= 5.0,
@@ -447,7 +460,7 @@ def schauder_ratio() -> CriterionResult:
         sweep = dirichlet_schauder_check(F11, F12, F22, 0.5, (64, 128, 256, 512))
         spread = max(sweep.ratios) / min(sweep.ratios)
         spreads[seed] = spread
-        ok = ok and not sweep.zero_data and spread <= 2.0
+        ok = ok and not sweep.zero_data and spread <= MAX_RATIO_SPREAD
     F11 = TrigPoly2D(terms=((1.0, 2, 1, "cs"),))
     zero = TrigPoly2D(terms=())
     errs = []

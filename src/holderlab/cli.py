@@ -225,7 +225,7 @@ def cmd_mollify_report(params: dict, out: Path) -> int:
         "betas": betas,
     })
     walls_zero = all(r == 0.0 for r in report.wall_residuals)
-    div_ok = max(report.max_divergences) <= 1e-12
+    div_ok = max(report.max_divergences) <= acceptance.MAX_DIVERGENCE
     results = {
         "max_divergence": max(report.max_divergences),
         "walls_exactly_zero": walls_zero,
@@ -266,8 +266,9 @@ def cmd_pressure_solve(params: dict, out: Path) -> int:
         u = flow(grid)
         sol = solve_modified_pressure(u, phi)
         ratio = estimate_ratio(sol, u, float(params["ratio_alpha"]))
-        invariants_ok = invariants_ok and sol.pde_residual <= 1e-10 \
-            and sol.mean_constraint_residual <= 1e-10
+        invariants_ok = invariants_ok \
+            and sol.pde_residual <= acceptance.MAX_PRESSURE_RESIDUAL \
+            and sol.mean_constraint_residual <= acceptance.MAX_PRESSURE_RESIDUAL
         row = {
             "nx": grid.nx,
             "pde_residual": sol.pde_residual,
@@ -314,7 +315,7 @@ def cmd_schauder_check(params: dict, out: Path) -> int:
         spread = (max(sweep.ratios) / min(sweep.ratios)
                   if min(sweep.ratios) > 0.0 else float("inf"))
         spreads[str(seed)] = spread
-        ok = ok and not sweep.zero_data and spread <= 2.0
+        ok = ok and not sweep.zero_data and spread <= acceptance.MAX_RATIO_SPREAD
     csv_path = write_csv(out / "schauder_check.csv", ["resolution", "seed", "ratio"],
                          sorted(rows))
     results = {"ratio_spreads": spreads, "all_bounded": ok}

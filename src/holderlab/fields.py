@@ -23,15 +23,15 @@ kernels are this scan, the lacunary samplers of
 :mod:`holderlab.weierstrass`, the mollifier's taps, and the Poisson layer.
 In :mod:`holderlab.spectral` the x-FFTs run in transposed column blocks and
 the y-solves in blocks of x-mode rows; in :mod:`holderlab.pressure` the
-y-stencils run in x-row blocks, and the modified-pressure solve is three
-passes: column blocks with one halo column each side (the right-hand side
-and its spectrum), x-mode row blocks (the y-solve) and column blocks again
-(P and its residual).  Work under ``_PARALLEL_NODES`` values (the array's
-size; for the mollifier, nodes times taps) runs as one piece on the calling
-thread, where the spectral x-FFTs make one whole-array call instead of
-blocks.  The pieces run numpy and ``scipy.fft`` only, and each
-result element is computed by the same operations whatever the partition,
-so results do not depend on the core count.
+modified-pressure solve is three passes: column blocks with one halo column
+each side (the right-hand side and its spectrum), x-mode row blocks (the
+y-solve) and column blocks again (P and its residual).  Work under
+``_PARALLEL_NODES`` values (the array's size; for the mollifier, nodes
+times taps) runs as one piece on the calling thread, where the spectral
+x-FFTs make one whole-array call instead of blocks.  The pieces run numpy
+and ``scipy.fft`` only, and each result element is computed by the same
+operations whatever the partition, so results do not depend on the core
+count.
 
 ``estimate_holder_exponent`` regresses per-scale oscillations taken at
 node displacements of exactly (h,0), (0,h), (h,h) and (h,-h).  Exact
@@ -110,23 +110,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _workers(nodes: int) -> int:
-    """Workers for an array of this many nodes: every usable CPU, or one
-    when it has fewer than ``_PARALLEL_NODES`` nodes."""
-    return _CPUS if nodes >= _PARALLEL_NODES else 1
-
-
 def _run_blocks(fn, n: int, row_bytes: int, work: int) -> list:
     """[fn(start, stop)] over the blocks of range(n), in order.
 
-    range(n) is cut into one contiguous piece per worker of
-    :func:`_workers` (work), and each piece into blocks of
+    range(n) is cut into one contiguous piece per usable CPU when work (the
+    nodes, or nodes times taps, it stands for) is at least
+    ``_PARALLEL_NODES``, and otherwise into one piece; never into more
+    pieces than n.  Each piece is cut into blocks of
     max(1, ``_BLOCK_BYTES`` // row_bytes) rows.  The calling thread runs the
     first piece's blocks and the pool the rest.  fn may call numpy, scipy
     and private helpers but no public package function, so that every such
     call, and any profiler's record of it, stays on the calling thread.
     """
-    pieces = max(1, min(n, _workers(work)))
+    pieces = max(1, min(n, _CPUS if work >= _PARALLEL_NODES else 1))
     bounds = [n * i // pieces for i in range(pieces + 1)]
     step = max(1, _BLOCK_BYTES // row_bytes)
 

@@ -43,7 +43,7 @@ from .fields import (  # noqa: F401
     check_tangential,
     holder_quotient,
 )
-from .spectral import _derivative, _x_symbol, _y_solve, solve_poisson, spectral_dx, spectral_dxx
+from .spectral import _derivative, _x_symbol, _y_solve, solve_poisson
 from .tracelab import TestFunction
 
 __all__ = [
@@ -119,20 +119,10 @@ class PressureSolution:
     compatibility_defect: float
 
 
-def _by_x_rows(stencil, vals: np.ndarray, hy: float) -> np.ndarray:
-    """stencil(v, out, hy) applied to the x-row blocks v of vals of the block
-    runner, writing the same rows of a new array."""
-    out = np.empty_like(vals)
-    _run_blocks(lambda a, b: stencil(vals[a:b], out[a:b], hy), vals.shape[0],
-                vals.itemsize * vals.shape[1], vals.size)
-    return out
-
-
-# The y-stencils write out from v, both with y as the last axis: rows of an
-# x-slow array, or the transpose of an x-fast block.  The first and last y
-# of v are taken as walls; a block that starts or ends inside the channel
-# reads one halo y past each such end and discards what the stencil writes
-# there.
+# The y-stencils write out from v, both with y as the last axis.  The first
+# and last y of v are taken as walls; a block that starts or ends inside the
+# channel reads one halo y past each such end and discards what the stencil
+# writes there.
 
 
 def _dy_odd_stencil(v: np.ndarray, out: np.ndarray, hy: float) -> None:
@@ -154,14 +144,6 @@ def _dyy_even_stencil(v: np.ndarray, out: np.ndarray, hy: float) -> None:
     out[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / hy**2
 
 
-def _dy_odd(vals: np.ndarray, hy: float) -> np.ndarray:
-    return _by_x_rows(_dy_odd_stencil, vals, hy)
-
-
-def _dyy_even(vals: np.ndarray, hy: float) -> np.ndarray:
-    return _by_x_rows(_dyy_even_stencil, vals, hy)
-
-
 def _trapezoid_mean(column_means: np.ndarray) -> float:
     """The trapezoid rule in y over the x-means of the columns."""
     z = np.ones(column_means.size)
@@ -177,17 +159,24 @@ def _x_means(lines: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.add.accumulate(lines, axis=1, out=scratch)[:, -1] / lines.shape[1]
 
 
-def _double_divergence(F11, F12, F22, grid: ChannelGrid) -> np.ndarray:
-    """d_x d_x F11 + 2 d_x d_y F12 + d_y d_y F22, summed left to right.  Each
-    F is a thunk called when its term needs it, so that only the sum and one
-    term's arrays are alive at a time."""
-    rhs = spectral_dxx(F11(), grid)
-    term = spectral_dx(_dy_odd(F12(), grid.hy), grid)
+def _div_div(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray, s: slice, hy: float,
+             dx: np.ndarray, dxx: np.ndarray) -> np.ndarray:
+    """d_x d_x q11 + 2 d_x d_y q12 + d_y d_y q22 on the y-rows s, summed left
+    to right: the one spelling of d_i d_j q_ij.  The q are arrays of one shape
+    and layout, y-first with x the last axis, whose first and last y are
+    walls or halos (see the y-stencils); dx and dxx are the symbols of
+    :func:`spectral._x_symbol`.  q11 is read first and then overwritten: its
+    buffer takes the y-differences, so that no other buffer is made."""
+    r = _derivative(q11[s], 1, dxx, 2)
+    dq = q11
+    _dy_odd_stencil(q12.T, dq.T, hy)
+    term = _derivative(dq[s], 1, dx, 1)
     term *= 2.0
-    rhs += term
+    r += term
     del term
-    rhs += _dyy_even(F22(), grid.hy)
-    return rhs
+    _dyy_even_stencil(q22.T, dq.T, hy)
+    r += dq[s]
+    return r
 
 
 def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolution:
@@ -197,9 +186,8 @@ def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolu
     worked through in cache:
 
     1. per block of y-columns, with one halo column each side: u1 and u2
-       moved x-fast, the products, the y-stencils and the x-derivatives of
-       the right-hand side, summed in the order of
-       :func:`_double_divergence` minus lap(G), G = phi * u2^2; the block's
+       moved x-fast, their products, and the right-hand side
+       :func:`_div_div` of them minus lap(G), G = phi * u2^2; the block's
        rhs kept x-fast, its rfft written into the spectrum, and its max
        |rhs| and the x-means of its rhs and G columns taken;
     2. per block of x-mode rows: the y-solve of :func:`spectral._y_solve`;
@@ -233,17 +221,11 @@ def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolu
     def assemble(a, b):
         lo, hi, s = window(a, b)
         v1, v2 = u1[:, lo:hi].T.copy(), u2[:, lo:hi].T.copy()
-        r = _derivative(v1[s] * v1[s], 1, dxx, 2)
-        dq = np.empty_like(v1)
-        _dy_odd_stencil(np.multiply(v1, v2, out=v1).T, dq.T, hy)
-        del v1
-        term = _derivative(dq[s], 1, dx, 1)
-        term *= 2.0
-        r += term
-        del term
+        dq = v1 * v1  # u1^2, then the kernel's and lap(G)'s y-differences
+        q12 = np.multiply(v1, v2, out=v1)
         g = np.multiply(v2, v2, out=v2)  # u2^2, then G, in v2's buffer
-        _dyy_even_stencil(g.T, dq.T, hy)
-        r += dq[s]
+        r = _div_div(dq, q12, g, s, hy, dx, dxx)
+        del v1, q12
         g *= phi_y[lo:hi, None]
         r -= _derivative(g[s], 1, dxx, 2)
         _dyy_even_stencil(g.T, dq.T, hy)
@@ -253,7 +235,7 @@ def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolu
         scratch = dq[s]
         return np.abs(r, out=scratch).max(), _x_means(r, scratch), _x_means(g[s], scratch)
 
-    # a block holds at most five x-fast buffers at a time, one of them a
+    # a block holds at most six x-fast buffers at a time, one of them a
     # spectrum; as in spectral._along_x, its spectrum takes _BLOCK_BYTES
     blocks = _run_blocks(assemble, ny, 16 * (nx // 2 + 1), nx * ny)
     rhs_scale = max(float(np.max([m for m, _, _ in blocks])), 1e-300)
@@ -407,10 +389,11 @@ class SchauderSweep:
 def solve_schauder_problem(F11: TrigPoly2D, F12: TrigPoly2D, F22: TrigPoly2D,
                            grid: ChannelGrid) -> ChannelField:
     """Solve lap(v) = d_i d_j F_ij with v = 0 at the walls."""
-    rhs = _double_divergence(lambda: F11.sample(grid), lambda: F12.sample(grid),
-                             lambda: F22.sample(grid), grid)
+    # the transposed samples are y-first views, made without a copy
+    rhs = _div_div(F11.sample(grid).T, F12.sample(grid).T, F22.sample(grid).T, slice(None),
+                   grid.hy, _x_symbol(grid, 1), _x_symbol(grid, 2))
     np.negative(rhs, out=rhs)
-    return ChannelField._adopt(grid, solve_poisson(rhs, grid, "dirichlet"))
+    return ChannelField._adopt(grid, solve_poisson(rhs.T, grid, "dirichlet"))
 
 
 def dirichlet_schauder_check(

@@ -262,7 +262,7 @@ def test_output_digests_runs_every_command_with_valid_flags():
 
 def test_output_digests_stops_when_no_holderlab_runs(tmp_path):
     # a holderlab whose cli fails shadows any other copy: the script must
-    # print no digests and exit 2, not report ten failed commands
+    # print no digests and exit 2, not report every command as failed
     fake = tmp_path / "holderlab"
     fake.mkdir()
     (fake / "__init__.py").write_text("")

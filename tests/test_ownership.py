@@ -137,7 +137,7 @@ def test_holder_scan_peak_memory(two_pieces):
 
 def test_modified_pressure_solve_peak_memory():
     # the block passes keep the RHS (in the buffer that becomes p), its
-    # spectrum and P, and one block's buffers at a time: at most five
+    # spectrum and P, and one block's buffers at a time: at most six
     # x-fast buffers of its columns, one of them a spectrum of about
     # _BLOCK_BYTES (on this grid, half the columns)
     u = velocity_field(WeierstrassParams(0.25, 8), TALL)
