@@ -458,9 +458,8 @@ def schauder_ratio() -> CriterionResult:
     for seed in range(5):
         F11, F12, F22 = random_symmetric_trig_field(seed)
         sweep = dirichlet_schauder_check(F11, F12, F22, 0.5, (64, 128, 256, 512))
-        spread = max(sweep.ratios) / min(sweep.ratios)
-        spreads[seed] = spread
-        ok = ok and not sweep.zero_data and spread <= MAX_RATIO_SPREAD
+        spreads[seed] = sweep.spread
+        ok = ok and sweep.spread <= MAX_RATIO_SPREAD
     F11 = TrigPoly2D(terms=((1.0, 2, 1, "cs"),))
     zero = TrigPoly2D(terms=())
     errs = []

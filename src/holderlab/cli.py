@@ -312,10 +312,8 @@ def cmd_schauder_check(params: dict, out: Path) -> int:
                                          resolutions)
         for res, ratio in zip(sweep.resolutions, sweep.ratios):
             rows.append((res, seed, ratio))
-        spread = (max(sweep.ratios) / min(sweep.ratios)
-                  if min(sweep.ratios) > 0.0 else float("inf"))
-        spreads[str(seed)] = spread
-        ok = ok and not sweep.zero_data and spread <= acceptance.MAX_RATIO_SPREAD
+        spreads[str(seed)] = sweep.spread
+        ok = ok and sweep.spread <= acceptance.MAX_RATIO_SPREAD
     csv_path = write_csv(out / "schauder_check.csv", ["resolution", "seed", "ratio"],
                          sorted(rows))
     results = {"ratio_spreads": spreads, "all_bounded": ok}

@@ -21,17 +21,17 @@ each piece into blocks of about ``_BLOCK_BYTES``, and runs the first piece
 on the calling thread and the rest on a thread pool made on first use.  The
 kernels are this scan, the lacunary samplers of
 :mod:`holderlab.weierstrass`, the mollifier's taps, and the Poisson layer.
-In :mod:`holderlab.spectral` the x-FFTs run in transposed column blocks and
-the y-solves in blocks of x-mode rows; in :mod:`holderlab.pressure` the
-modified-pressure solve is three passes: column blocks with one halo column
-each side (the right-hand side and its spectrum), x-mode row blocks (the
-y-solve) and column blocks again (P and its residual).  Work under
-``_PARALLEL_NODES`` values (the array's size; for the mollifier, nodes
-times taps) runs as one piece on the calling thread, where the spectral
-x-FFTs make one whole-array call instead of blocks.  The pieces run numpy
-and ``scipy.fft`` only, and each result element is computed by the same
-operations whatever the partition, so results do not depend on the core
-count.
+In :mod:`holderlab.spectral` the y-solves run in blocks of x-mode rows; in
+:mod:`holderlab.pressure` the modified-pressure solve is three passes:
+column blocks with one halo column each side (the right-hand side and its
+spectrum), x-mode row blocks (the y-solve) and column blocks again (P and
+its residual).  Work under ``_PARALLEL_NODES`` values (the array's size;
+for the mollifier, nodes times taps) runs as one piece on the calling
+thread.  The same size rule, :func:`_workers`, gives the worker count of
+the whole-array x-FFTs that the calling thread makes outside the runner.
+The pieces run numpy and ``scipy.fft`` with one worker only, and each
+result element is computed by the same operations whatever the partition,
+so results do not depend on the core count.
 
 ``estimate_holder_exponent`` regresses per-scale oscillations taken at
 node displacements of exactly (h,0), (0,h), (h,h) and (h,-h).  Exact
@@ -110,19 +110,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
+def _workers(work: int) -> int:
+    """The CPUs that work (the nodes, or nodes times taps, it stands for) is
+    spread over: ``_CPUS`` from ``_PARALLEL_NODES`` on, otherwise one."""
+    return _CPUS if work >= _PARALLEL_NODES else 1
+
+
 def _run_blocks(fn, n: int, row_bytes: int, work: int) -> list:
     """[fn(start, stop)] over the blocks of range(n), in order.
 
-    range(n) is cut into one contiguous piece per usable CPU when work (the
-    nodes, or nodes times taps, it stands for) is at least
-    ``_PARALLEL_NODES``, and otherwise into one piece; never into more
-    pieces than n.  Each piece is cut into blocks of
+    range(n) is cut into :func:`_workers` (work) contiguous pieces, but never
+    into more pieces than n.  Each piece is cut into blocks of
     max(1, ``_BLOCK_BYTES`` // row_bytes) rows.  The calling thread runs the
     first piece's blocks and the pool the rest.  fn may call numpy, scipy
-    and private helpers but no public package function, so that every such
-    call, and any profiler's record of it, stays on the calling thread.
+    with one worker and private helpers but no public package function, so
+    that every such call, and any profiler's record of it, stays on the
+    calling thread, which alone picks a worker count.
     """
-    pieces = max(1, min(n, _CPUS if work >= _PARALLEL_NODES else 1))
+    pieces = max(1, min(n, _workers(work)))
     bounds = [n * i // pieces for i in range(pieces + 1)]
     step = max(1, _BLOCK_BYTES // row_bytes)
 

@@ -39,6 +39,7 @@ from .fields import (  # noqa: F401
     ChannelField,
     ChannelGrid,
     _run_blocks,
+    _workers,
     c_alpha_norm,
     check_tangential,
     holder_quotient,
@@ -160,17 +161,18 @@ def _x_means(lines: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _div_div(q11: np.ndarray, q12: np.ndarray, q22: np.ndarray, s: slice, hy: float,
-             dx: np.ndarray, dxx: np.ndarray) -> np.ndarray:
+             dx: np.ndarray, dxx: np.ndarray, workers: int) -> np.ndarray:
     """d_x d_x q11 + 2 d_x d_y q12 + d_y d_y q22 on the y-rows s, summed left
     to right: the one spelling of d_i d_j q_ij.  The q are arrays of one shape
     and layout, y-first with x the last axis, whose first and last y are
     walls or halos (see the y-stencils); dx and dxx are the symbols of
-    :func:`spectral._x_symbol`.  q11 is read first and then overwritten: its
-    buffer takes the y-differences, so that no other buffer is made."""
-    r = _derivative(q11[s], 1, dxx, 2)
+    :func:`spectral._x_symbol`, and the x-FFTs run on workers.  q11 is read
+    first and then overwritten: its buffer takes the y-differences, so that
+    no other buffer is made."""
+    r = _derivative(q11[s], 1, dxx, 2, workers)
     dq = q11
     _dy_odd_stencil(q12.T, dq.T, hy)
-    term = _derivative(dq[s], 1, dx, 1)
+    term = _derivative(dq[s], 1, dx, 1, workers)
     term *= 2.0
     r += term
     del term
@@ -224,10 +226,10 @@ def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolu
         dq = v1 * v1  # u1^2, then the kernel's and lap(G)'s y-differences
         q12 = np.multiply(v1, v2, out=v1)
         g = np.multiply(v2, v2, out=v2)  # u2^2, then G, in v2's buffer
-        r = _div_div(dq, q12, g, s, hy, dx, dxx)
+        r = _div_div(dq, q12, g, s, hy, dx, dxx, 1)
         del v1, q12
         g *= phi_y[lo:hi, None]
-        r -= _derivative(g[s], 1, dxx, 2)
+        r -= _derivative(g[s], 1, dxx, 2, 1)
         _dyy_even_stencil(g.T, dq.T, hy)
         r -= dq[s]
         rhs[a:b] = r
@@ -236,7 +238,7 @@ def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolu
         return np.abs(r, out=scratch).max(), _x_means(r, scratch), _x_means(g[s], scratch)
 
     # a block holds at most six x-fast buffers at a time, one of them a
-    # spectrum; as in spectral._along_x, its spectrum takes _BLOCK_BYTES
+    # spectrum, which takes about _BLOCK_BYTES
     blocks = _run_blocks(assemble, ny, 16 * (nx // 2 + 1), nx * ny)
     rhs_scale = max(float(np.max([m for m, _, _ in blocks])), 1e-300)
     rhs_mean = _trapezoid_mean(np.concatenate([r for _, r, _ in blocks]))
@@ -250,7 +252,7 @@ def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolu
         lo, hi, s = window(a, b)
         w = scipy.fft.irfft(hat[:, lo:hi].T, nx, axis=1, workers=1)
         P[:, a:b] = w[s].T
-        lap = _derivative(w[s], 1, dxx, 2)
+        lap = _derivative(w[s], 1, dxx, 2, 1)
         dq = np.empty_like(w)
         _dyy_even_stencil(w.T, dq.T, hy)
         lap += dq[s]
@@ -378,12 +380,21 @@ def random_symmetric_trig_field(seed: int):
 
 @dataclass(frozen=True)
 class SchauderSweep:
-    """Per-resolution norm ratios for the Dirichlet double-divergence solve."""
+    """Per-resolution norm ratios for the Dirichlet double-divergence solve.
+    zero_data is set when the data vanish at some resolution, whose ratio is
+    then 0.0."""
 
     alpha: float
     resolutions: tuple
     ratios: tuple
     zero_data: bool
+
+    @property
+    def spread(self) -> float:
+        """max(ratios) / min(ratios); inf when the smallest ratio is not
+        positive, as it is whenever the data vanish."""
+        low = min(self.ratios)
+        return max(self.ratios) / low if low > 0.0 else math.inf
 
 
 def solve_schauder_problem(F11: TrigPoly2D, F12: TrigPoly2D, F22: TrigPoly2D,
@@ -391,7 +402,8 @@ def solve_schauder_problem(F11: TrigPoly2D, F12: TrigPoly2D, F22: TrigPoly2D,
     """Solve lap(v) = d_i d_j F_ij with v = 0 at the walls."""
     # the transposed samples are y-first views, made without a copy
     rhs = _div_div(F11.sample(grid).T, F12.sample(grid).T, F22.sample(grid).T, slice(None),
-                   grid.hy, _x_symbol(grid, 1), _x_symbol(grid, 2))
+                   grid.hy, _x_symbol(grid, 1), _x_symbol(grid, 2),
+                   _workers(grid.nx * grid.ny))
     np.negative(rhs, out=rhs)
     return ChannelField._adopt(grid, solve_poisson(rhs.T, grid, "dirichlet"))
 

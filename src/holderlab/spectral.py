@@ -17,23 +17,18 @@ k_x^2 plus the y-eigenvalue, and the two inverse transforms.  The x-FFT
 goes first, which measured slightly faster than the other order on tall
 grids.
 
-Every transform is a ``scipy.fft`` call under the size rule of the block
-runner, ``fields._run_blocks``, with one worker.  An x-transform of an
-input under ``_PARALLEL_NODES`` values is one whole-array call: there the
-size selects a strided whole-array FFT rather than blocks.  On a larger
-input the x-transforms run on the runner's blocks of columns, whose
-spectra take about ``_BLOCK_BYTES``, each block transposed so that its
-x-lines are rows.  An x-derivative takes its rfft, symbol and irfft
-inside the block (``_derivative``), so it makes no whole-grid spectrum.
-Fields are stored with x slowest, so an x-line is strided by the row
-length; a whole-array x-FFT reads each line from main memory, a block
-from cache.  The y-part of a solve (the y-transform, the division by the
-symbol and the inverse, ``_y_solve``) always runs on the runner's blocks
-of x-mode rows, whose y-lines are contiguous in either form, so no size
-selects another path.  The modified-pressure solve of
-:mod:`holderlab.pressure` runs these same line kernels inside its own
-three block passes.  No 1-D transform depends on the partition or the
-worker count.
+Every transform is a ``scipy.fft`` call.  The x-transforms of
+:func:`spectral_dx`, :func:`spectral_dxx`, :func:`solve_poisson` and the
+Schauder right-hand side of :mod:`holderlab.pressure` are one whole-array
+call each, on the workers that the block runner's size rule,
+``fields._workers``, gives their real values: every usable CPU from
+``_PARALLEL_NODES`` values on, otherwise one.  The y-part of a solve (the
+y-transform, the division by the symbol and the inverse, ``_y_solve``)
+runs on the runner's blocks of x-mode rows, whose y-lines are contiguous,
+with one worker per block.  The modified-pressure solve of
+:mod:`holderlab.pressure` runs these same line kernels, with one worker,
+inside its own three block passes.  No 1-D transform depends on the
+partition or the worker count.
 """
 
 from __future__ import annotations
@@ -43,8 +38,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from . import fields
-from .fields import ChannelGrid, _run_blocks
+from .fields import ChannelGrid, _run_blocks, _workers
 
 __all__ = ["x_wavenumbers", "spectral_dx", "spectral_dxx", "solve_poisson"]
 
@@ -54,62 +48,34 @@ def x_wavenumbers(grid: ChannelGrid) -> np.ndarray:
     return 2.0 * math.pi * scipy.fft.rfftfreq(grid.nx, d=grid.hx)
 
 
-def _along_x(step, src: np.ndarray, n: int, dtype) -> np.ndarray:
-    """The (n, ny) array whose column j is step's transform of column j of
-    src, where step(lines, axis) transforms every x-line of lines along
-    axis with one worker.
-
-    Under ``_PARALLEL_NODES`` values it is one whole-array step(src, 0).
-    Otherwise each block of columns of src goes through step transposed,
-    out[:, a:b] = step(src[:, a:b].T, 1).T, on the blocks of
-    :func:`_run_blocks`; a block's largest array, its spectrum, takes about
-    ``_BLOCK_BYTES``.
-    """
-    if src.size < fields._PARALLEL_NODES:
-        return step(src, 0)
-    out = np.empty((n, src.shape[1]), dtype)
-
-    def block(a, b):
-        out[:, a:b] = step(src[:, a:b].T, 1).T
-
-    spectrum_bytes = 16 * (max(n, src.shape[0]) // 2 + 1)
-    _run_blocks(block, src.shape[1], spectrum_bytes, src.size)
-    return out
-
-
 def _x_symbol(grid: ChannelGrid, order: int) -> np.ndarray:
     """The rfft-mode symbol of the first or second x-derivative."""
     k = x_wavenumbers(grid)
     return 1j * k if order == 1 else -(k**2)
 
 
-def _derivative(lines: np.ndarray, axis: int, symbol: np.ndarray, order: int) -> np.ndarray:
-    """The order-th x-derivative of every x-line of lines along axis, with
-    one worker: rfft, times the symbol of :func:`_x_symbol`, irfft.  The
+def _derivative(lines: np.ndarray, axis: int, symbol: np.ndarray, order: int,
+                workers: int) -> np.ndarray:
+    """The order-th x-derivative of every x-line of lines along axis: rfft,
+    times the symbol of :func:`_x_symbol`, irfft, each on workers.  The
     first derivative drops the Nyquist mode (nx is even)."""
-    hat = scipy.fft.rfft(lines, axis=axis, workers=1)
+    hat = scipy.fft.rfft(lines, axis=axis, workers=workers)
     modes = np.moveaxis(hat, axis, -1)  # a view of hat with x last
     modes *= symbol
     if order == 1:
         modes[..., -1] = 0.0
     return scipy.fft.irfft(hat, 2 * (symbol.size - 1), axis=axis, overwrite_x=True,
-                           workers=1)
-
-
-def _x_derivative(vals: np.ndarray, grid: ChannelGrid, order: int) -> np.ndarray:
-    symbol = _x_symbol(grid, order)
-    return _along_x(lambda lines, axis: _derivative(lines, axis, symbol, order), vals,
-                    grid.nx, float)
+                           workers=workers)
 
 
 def spectral_dx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """First x-derivative by FFT; the Nyquist mode (nx is even) is dropped."""
-    return _x_derivative(vals, grid, 1)
+    return _derivative(vals, 0, _x_symbol(grid, 1), 1, _workers(vals.size))
 
 
 def spectral_dxx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """Second x-derivative by FFT."""
-    return _x_derivative(vals, grid, 2)
+    return _derivative(vals, 0, _x_symbol(grid, 2), 2, _workers(vals.size))
 
 
 def _y_transforms(bc: str):
@@ -165,11 +131,9 @@ def solve_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
     of rhs; it is projected out, so u solves -lap(u) = rhs - mean and
     has zero trapezoid mean.
     """
-    rows = _y_transforms(bc)[0]
-    nx = grid.nx
-    hat = _along_x(lambda lines, axis: scipy.fft.rfft(lines, axis=axis, workers=1),
-                   rhs[:, rows], nx // 2 + 1, complex)
+    src = rhs[:, _y_transforms(bc)[0]]
+    workers = _workers(src.size)
+    hat = scipy.fft.rfft(src, axis=0, workers=workers)
     _y_solve(hat, grid, bc)
-    u = _along_x(lambda lines, axis: scipy.fft.irfft(lines, nx, axis=axis, overwrite_x=True,
-                                                     workers=1), hat, nx, float)
+    u = scipy.fft.irfft(hat, grid.nx, axis=0, overwrite_x=True, workers=workers)
     return u if bc == "neumann" else np.pad(u, ((0, 0), (1, 1)))

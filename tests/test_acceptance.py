@@ -38,7 +38,7 @@ def test_acceptance_5_geometry_identities(capsys):
 
 def test_acceptance_6_divergence_free_mollifier(capsys):
     res = _run(acceptance.divergence_free_mollifier, capsys)
-    assert max(res.details["max_divergences"]) <= 1e-12
+    assert max(res.details["max_divergences"]) <= acceptance.MAX_DIVERGENCE
 
 
 def test_acceptance_7_pressure_solver(capsys):
@@ -53,4 +53,5 @@ def test_acceptance_8_trace_dichotomy(capsys):
 
 def test_acceptance_9_schauder_ratio(capsys):
     res = _run(acceptance.schauder_ratio, capsys)
-    assert all(v <= 2.0 for v in res.details["ratio_spreads"].values())
+    spreads = res.details["ratio_spreads"].values()
+    assert all(v <= acceptance.MAX_RATIO_SPREAD for v in spreads)

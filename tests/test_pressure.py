@@ -305,6 +305,25 @@ def test_schauder_zero_data_flagged():
     sweep = dirichlet_schauder_check(zero, zero, zero, 0.5, (64, 128))
     assert sweep.ratios == (0.0, 0.0)
     assert sweep.zero_data
+    assert sweep.spread == math.inf
+
+
+def test_a_zero_ratio_fails_criterion_9_and_schauder_check(monkeypatch, tmp_path):
+    # F11 = sin(pi y) has no x-dependence, so d_i d_j F_ij = 0 and v = 0
+    # although the data do not vanish: every ratio is 0, and the spread is
+    # infinite rather than a division by zero
+    zero = TrigPoly2D(terms=())
+    sweep = dirichlet_schauder_check(TrigPoly2D(((1.0, 0, 1, "cs"),)), zero, zero, 0.5,
+                                     (64, 128))
+    assert sweep.ratios == (0.0, 0.0)
+    assert not sweep.zero_data
+    assert sweep.spread == math.inf
+    monkeypatch.setattr(acceptance, "dirichlet_schauder_check", lambda *args: sweep)
+    res = acceptance.schauder_ratio()
+    assert not res.checks["random_ratio_spread_le_2"]
+    assert not res.passed
+    monkeypatch.setattr(cli, "dirichlet_schauder_check", lambda *args: sweep)
+    assert cli.main(["schauder-check", "--seeds", "0", "--out", str(tmp_path)]) == 1
 
 
 def test_trig_poly_validation_and_sampling():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holderlab import fields, spectral
-from holderlab.fields import ChannelGrid
+from holderlab.fields import ChannelField, ChannelGrid
+from holderlab.pressure import (
+    CutoffProfile,
+    random_symmetric_trig_field,
+    solve_modified_pressure,
+    solve_schauder_problem,
+)
 from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx, x_wavenumbers
 
 from conftest import banded_poisson, block_partition
@@ -176,51 +184,70 @@ def test_row_blocked_y_solve_matches_the_whole_array_solve_bitwise(log2_nx, ny, 
     assert got.tobytes() == want.tobytes()
 
 
-def test_transforms_take_workers_by_the_block_runners_size_rule(monkeypatch):
-    # every transform takes one worker (a second worker on a 64-256 grid
-    # measured up to about 2x slower).  An input under _PARALLEL_NODES
-    # values takes one whole-array x-transform call; a larger one has its
-    # x-transforms on transposed column blocks.  The y-transforms always run
-    # on x-mode row blocks; each block takes at most _BLOCK_BYTES
+def _record_fft_calls(monkeypatch):
+    """A list that gets (name, thread, shape, nbytes, axis, real values,
+    workers) of each scipy.fft call from here on; the real values of an
+    irfft are those of its output."""
     seen = []
     for name in ("rfft", "irfft", "dct", "idct", "dst", "idst"):
         def recorded(x, *args, _name=name, _fn=getattr(scipy.fft, name), axis=-1,
                      workers=None, **kwargs):
-            seen.append((_name, x.shape, x.nbytes, axis, workers))
+            n = args[0] if _name == "irfft" else x.shape[axis]
+            seen.append((_name, threading.current_thread().name, x.shape, x.nbytes, axis,
+                         n * (x.size // x.shape[axis]), workers))
             return _fn(x, *args, axis=axis, workers=workers, **kwargs)
         monkeypatch.setattr(scipy.fft, name, recorded)
+    return seen
+
+
+def test_only_the_calling_thread_takes_more_than_one_fft_worker(monkeypatch):
+    # Outside the modified-pressure passes each x-transform is one call over
+    # every x-line (axis 0 of an x-slow array, axis 1 of the Schauder
+    # samples' y-first views) on the block runner's worker count.  The
+    # y-transforms, and every call inside the runner's pieces, take one
+    # worker, and a y-transform takes a block of at most _BLOCK_BYTES.
+    seen = _record_fft_calls(monkeypatch)
+    caller = threading.current_thread().name
     monkeypatch.setattr(fields, "_CPUS", 3)
-    ops = (spectral_dx, spectral_dxx, lambda v, g: solve_poisson(v, g, "dirichlet"),
-           lambda v, g: solve_poisson(v, g, "neumann"))
-    kinds = set()
-    for grid in (ChannelGrid(64, 33), ChannelGrid(2048, 257)):
+    F11, F12, F22 = random_symmetric_trig_field(0)
+    ops = {
+        "dx": spectral_dx,
+        "dxx": spectral_dxx,
+        "dirichlet": lambda v, g: solve_poisson(v, g, "dirichlet"),
+        "neumann": lambda v, g: solve_poisson(v, g, "neumann"),
+        "modified pressure": lambda v, g: solve_modified_pressure(
+            ChannelField(g, np.stack([v, np.sin(np.pi * g.y) * v])), CutoffProfile(0.2)),
+        "schauder": lambda v, g: solve_schauder_problem(F11, F12, F22, g),
+    }
+    runs = [(ChannelGrid(64, 33), contextlib.nullcontext),
+            (ChannelGrid(2048, 257), contextlib.nullcontext),
+            (ChannelGrid(64, 33), lambda: block_partition(1 << 12, 3))]
+    workers_seen = set()
+    for grid, partition in runs:
         vals = np.random.default_rng(0).standard_normal((grid.nx, grid.ny))
-        for op in ops:
+        for name, op in ops.items():
             seen.clear()
-            op(vals, grid)
-            assert all(workers == 1 for *_, workers in seen)
-            for name in ("rfft", "irfft"):
-                calls = [(shape, nbytes, axis) for n, shape, nbytes, axis, _ in seen
-                         if n == name]
-                if calls[0][2] == 0:
-                    # one whole-array call: every x-line is a column
-                    (shape, _, _), = calls
-                    assert math.prod(shape) < fields._PARALLEL_NODES
-                    kinds.add("whole x")
+            with partition():
+                op(vals, grid)
+                parallel, block_bytes = fields._PARALLEL_NODES, fields._BLOCK_BYTES
+            for fft, thread, shape, nbytes, axis, values, workers in seen:
+                workers_seen.add((thread == caller, workers))
+                if thread != caller:
+                    assert thread.startswith("holderlab-blocks")
+                    assert workers == 1
+                if fft in ("rfft", "irfft"):
+                    if name == "modified pressure":
+                        assert workers == 1
+                    else:
+                        assert shape[axis] in (grid.nx, grid.nx // 2 + 1)
+                        assert values // grid.nx in (grid.ny, grid.ny - 2)
+                        assert axis == 0 or name == "schauder"
+                        assert workers == (3 if values >= parallel else 1)
                 else:
-                    # transposed column blocks: every x-line is a row
-                    assert all(axis == 1 and nbytes <= fields._BLOCK_BYTES
-                               for _, nbytes, axis in calls)
-                    assert sum(shape[0] for shape, *_ in calls) in (grid.ny, grid.ny - 2)
-                    assert sum(math.prod(shape) for shape, *_ in calls) >= fields._PARALLEL_NODES
-                    kinds.add("column blocks")
+                    assert axis == 1 and workers == 1
+                    assert nbytes <= max(block_bytes, nbytes // shape[0])
             for names in (("dct", "dst"), ("idct", "idst")):
-                calls = [(shape, nbytes, axis) for n, shape, nbytes, axis, _ in seen
-                         if n in names]
-                if not calls:
-                    continue  # an x-derivative
-                assert all(axis == 1 for *_, axis in calls)
-                assert sum(shape[0] for shape, *_ in calls) == grid.nx // 2 + 1
-                assert all(nbytes <= fields._BLOCK_BYTES for _, nbytes, _ in calls)
-                kinds.add("row blocks")
-    assert kinds == {"whole x", "column blocks", "row blocks"}
+                rows = sum(shape[0] for fft, _, shape, *_ in seen if fft in names)
+                assert rows == (0 if name in ("dx", "dxx") else grid.nx // 2 + 1)
+    # the rule was seen both ways, and pool threads ran some of the calls
+    assert workers_seen == {(True, 1), (True, 3), (False, 1)}

@@ -1,15 +1,16 @@
 """Exit code and sha256 of every output file of a fixed set of CLI runs.
 
 Runs, in a temporary directory, the eight commands of README's "Command
-line" section, ``mollify-report`` on a 256x513 grid, ``pressure-solve``
-with the Weierstrass flow up to a 512x513 grid and ``schauder-check`` up
-to a 1024x513 grid (the last two at least 2^18 nodes, so the block
-runner's parallel path runs), using the ``holderlab`` that ``python -m``
-finds (set ``PYTHONPATH`` to choose a source tree).  For each command it
-prints the exit code, then ``sha256  path`` for every file the command
-wrote.  Nothing printed depends on the time or on the temporary path, so
-two source trees produce the same byte output exactly when their CLI
-outputs and exit codes agree:
+line" section, ``mollify-report`` on 256x513 and 512x1025 grids,
+``pressure-solve`` with the Weierstrass flow up to a 512x513 grid and
+``schauder-check`` up to a 1024x513 grid (the last three at least 2^18
+nodes, so the block runner's parallel path and the multi-worker x-FFTs
+run), using the ``holderlab`` that ``python -m`` finds (set
+``PYTHONPATH`` to choose a source tree).  For each command it prints the
+exit code, then ``sha256  path`` for every file the command wrote.
+Nothing printed depends on the time or on the temporary path, so two
+source trees produce the same byte output exactly when their CLI outputs
+and exit codes agree:
 
     PYTHONPATH=src python tools/output_digests.py > after.txt
 
@@ -37,6 +38,7 @@ COMMANDS = (
     "schauder-check --seeds 0,1,2,3,4 --resolutions 64,128,256 --out runs/sch",
     "all-acceptance --out runs/acc",
     "mollify-report --nx 256 --ny 513 --out runs/mol256",
+    "mollify-report --nx 512 --ny 1025 --epsilons 0.02,0.01,0.005 --out runs/mol512",
     "pressure-solve --flow weierstrass --grids 64,128,512 --out runs/psw",
     "schauder-check --seeds 0 --resolutions 512,1024 --out runs/sch1024",
 )
