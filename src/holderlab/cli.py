@@ -303,6 +303,10 @@ def cmd_pressure_solve(params: dict, out: Path) -> int:
 def cmd_schauder_check(params: dict, out: Path) -> int:
     seeds = _parse_list(params["seeds"], int)
     resolutions = _parse_list(params["resolutions"], int)
+    if not seeds:
+        raise ConfigError("seeds must name at least one seed")
+    if not resolutions:
+        raise ConfigError("resolutions must name at least one resolution")
     rows = []
     spreads = {}
     ok = True

@@ -20,15 +20,21 @@ an index range into one contiguous piece per CPU this process may use, cuts
 each piece into blocks of about ``_BLOCK_BYTES``, and runs the first piece
 on the calling thread and the rest on a thread pool made on first use.  The
 kernels are this scan, the lacunary samplers of
-:mod:`holderlab.weierstrass`, the mollifier's taps, and the Poisson layer.
-In :mod:`holderlab.spectral` the y-solves run in blocks of x-mode rows; in
-:mod:`holderlab.pressure` the modified-pressure solve is three passes:
-column blocks with one halo column each side (the right-hand side and its
-spectrum), x-mode row blocks (the y-solve) and column blocks again (P and
-its residual).  Work under ``_PARALLEL_NODES`` values (the array's size;
-for the mollifier, nodes times taps) runs as one piece on the calling
-thread.  The same size rule, :func:`_workers`, gives the worker count of
-the whole-array x-FFTs that the calling thread makes outside the runner.
+:mod:`holderlab.weierstrass` and the trig-polynomial sampler of
+:mod:`holderlab.pressure` (both in x-row blocks), the mollifier's taps,
+and the Poisson layer.  In :mod:`holderlab.spectral` the y-solves run in
+blocks of x-mode rows; in :mod:`holderlab.pressure` the modified-pressure
+solve is three passes: column blocks with one halo column each side (the
+right-hand side and its spectrum), x-mode row blocks (the y-solve) and
+column blocks again (P and its residual).  Work under ``_PARALLEL_NODES``
+values (the array's size; for the mollifier, nodes times taps; for the
+trig sampler, nodes times terms) runs as one piece on the calling thread.
+A shift scan weighs its work as nodes times shifts against its own
+``_PARALLEL_SCAN_WORK`` = 2^20, so a single-component scan of a 256x129
+grid stays on one thread while a three-component stack of it, or one
+512x257 component, is split.  The size rule, :func:`_workers`, also gives
+the worker count of the whole-array x-FFTs that the calling thread makes
+outside the runner.
 The pieces run numpy and ``scipy.fft`` with one worker only, and each
 result element is computed by the same operations whatever the partition,
 so results do not depend on the core count.
@@ -87,6 +93,14 @@ _BLOCK_BYTES = 512 << 10
 # about 512x512 nodes a second piece measured no faster
 _PARALLEL_NODES = 1 << 18
 
+# a shift scan of fewer node-shift pairs (nodes times shifts) runs as one
+# piece on the calling thread.  A c_alpha_norm on 2 cores took, in two
+# pieces against one: 1.11 vs 0.71 ms for three 128x65 components (0.3 M
+# pairs), 1.58 vs 0.96 ms for one 256x129 component (14 shifts, 0.46 M),
+# 1.75 vs 2.20 ms for three (1.4 M) and 3.19 vs 4.39 ms for one 512x257
+# component (20 shifts, 2.6 M)
+_PARALLEL_SCAN_WORK = 1 << 20
+
 
 def _usable_cpus() -> int:
     try:
@@ -110,24 +124,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _workers(work: int) -> int:
+def _workers(work: int, threshold: int | None = None) -> int:
     """The CPUs that work (the nodes, or nodes times taps, it stands for) is
-    spread over: ``_CPUS`` from ``_PARALLEL_NODES`` on, otherwise one."""
-    return _CPUS if work >= _PARALLEL_NODES else 1
+    spread over: ``_CPUS`` from threshold on, by default ``_PARALLEL_NODES``,
+    otherwise one."""
+    return _CPUS if work >= (_PARALLEL_NODES if threshold is None else threshold) else 1
 
 
-def _run_blocks(fn, n: int, row_bytes: int, work: int) -> list:
+def _run_blocks(fn, n: int, row_bytes: int, work: int, threshold: int | None = None) -> list:
     """[fn(start, stop)] over the blocks of range(n), in order.
 
-    range(n) is cut into :func:`_workers` (work) contiguous pieces, but never
-    into more pieces than n.  Each piece is cut into blocks of
+    range(n) is cut into :func:`_workers` (work, threshold) contiguous pieces,
+    but never into more pieces than n.  Each piece is cut into blocks of
     max(1, ``_BLOCK_BYTES`` // row_bytes) rows.  The calling thread runs the
     first piece's blocks and the pool the rest.  fn may call numpy, scipy
     with one worker and private helpers but no public package function, so
     that every such call, and any profiler's record of it, stays on the
     calling thread, which alone picks a worker count.
     """
-    pieces = max(1, min(n, _workers(work)))
+    pieces = max(1, min(n, _workers(work, threshold)))
     bounds = [n * i // pieces for i in range(pieces + 1)]
     step = max(1, _BLOCK_BYTES // row_bytes)
 
@@ -321,7 +336,8 @@ def _shift_maxima(vals: np.ndarray, shifts) -> np.ndarray:
 
     The p rows are scanned in blocks of :func:`_run_blocks`, each block
     for every shift into one scratch buffer of its own, giving the block's
-    max per shift; the blocks combine by np.maximum, which is exact.
+    max per shift; the blocks combine by np.maximum, which is exact.  The
+    work is weighed as nodes times shifts against ``_PARALLEL_SCAN_WORK``.
     """
     nx, ny = vals.shape[-2:]
     lead = vals.shape[:-2]
@@ -345,7 +361,8 @@ def _shift_maxima(vals: np.ndarray, shifts) -> np.ndarray:
                     best[k] = np.maximum(best[k], np.abs(d, out=d).max(axis=(-2, -1)))
         return best
 
-    out = np.maximum.reduce(_run_blocks(scan, nx, 8 * comps * ny, vals.size))
+    out = np.maximum.reduce(_run_blocks(scan, nx, 8 * comps * ny, vals.size * len(shifts),
+                                        _PARALLEL_SCAN_WORK))
     if not np.isfinite(out).all():
         raise ValueError("non-finite node values: a Hölder scan needs finite samples")
     return out
@@ -455,6 +472,27 @@ def c_alpha_norm_scales(grid: ChannelGrid) -> tuple[float, float]:
     return 4.0 * max(grid.hx, grid.hy), _NORM_H_MAX
 
 
+def _c_alpha_parts(vals: np.ndarray, grid: ChannelGrid,
+                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(max |c|, dyadic seminorm of c) for each component c of node values of
+    shape (nx, ny) or (components, nx, ny), as two arrays with one entry per
+    component.  The seminorms come from one :func:`_shift_maxima` call over
+    the :func:`holder_quotient` pairs of :func:`c_alpha_norm_scales`; alpha =
+    0, or a stack that is zero everywhere, gives zero seminorms without a
+    scan.  Raises on non-finite values.  :func:`c_alpha_norm` is max(top) +
+    max(semi); the largest norm of one component is max(top + semi).
+    """
+    stack = np.reshape(vals, (-1, grid.nx, grid.ny))
+    top = np.max(np.abs(stack), axis=(1, 2))
+    if not np.isfinite(top).all():
+        raise ValueError("non-finite node values: the C^alpha norm needs finite samples")
+    if alpha == 0.0 or not top.any():
+        return top, np.zeros_like(top)
+    pairs = _dyadic_pairs(grid, alpha, *c_alpha_norm_scales(grid))
+    diffs = _shift_maxima(stack, [shift for _, shift, _ in pairs])
+    return top, np.max(diffs / np.array([r_alpha for _, _, r_alpha in pairs])[:, None], axis=0)
+
+
 def c_alpha_norm(vals: np.ndarray, grid: ChannelGrid, alpha: float) -> float:
     """Estimated C^alpha norm of node values of shape (nx, ny) or
     (components, nx, ny): max |vals| plus the largest dyadic seminorm of
@@ -462,16 +500,8 @@ def c_alpha_norm(vals: np.ndarray, grid: ChannelGrid, alpha: float) -> float:
     :func:`c_alpha_norm_scales`).  alpha = 0 gives max |vals| alone, and
     a zero field has norm 0 on any grid.  Raises on non-finite values.
     """
-    norm = float(np.max(np.abs(vals)))
-    if not math.isfinite(norm):
-        raise ValueError("non-finite node values: the C^alpha norm needs finite samples")
-    if norm == 0.0 or alpha == 0.0:
-        return norm
-    pairs = _dyadic_pairs(grid, alpha, *c_alpha_norm_scales(grid))
-    diffs = _shift_maxima(np.reshape(vals, (-1, grid.nx, grid.ny)),
-                          [shift for _, shift, _ in pairs])
-    return norm + max(diff / r_alpha for (_, _, r_alpha), row in zip(pairs, diffs.tolist())
-                      for diff in row)
+    top, semi = _c_alpha_parts(vals, grid, alpha)
+    return float(top.max() + semi.max())
 
 
 def estimate_holder_exponent(f: ChannelField, h_list) -> HolderEstimate:

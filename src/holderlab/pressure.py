@@ -38,9 +38,11 @@ import scipy.fft
 from .fields import (  # noqa: F401
     ChannelField,
     ChannelGrid,
+    _c_alpha_parts,
     _run_blocks,
     _workers,
     c_alpha_norm,
+    c_alpha_norm_scales,
     check_tangential,
     holder_quotient,
 )
@@ -283,14 +285,17 @@ def solve_modified_pressure(u: ChannelField, phi: CutoffProfile) -> PressureSolu
 
 
 def estimate_ratio(sol: PressureSolution, u: ChannelField, alpha: float) -> float:
-    """Estimated C^alpha norm of P over that of the velocity tensor u x u."""
+    """Estimated C^alpha norm of P over that of the velocity tensor u x u,
+    the largest norm of u1^2, u1 u2 and u2^2, which are written into one
+    stack and take their norms from one scan."""
     grid = u.grid
     u1, u2 = u.values[0], u.values[1]
-    den = max(
-        c_alpha_norm(u1 * u1, grid, alpha),
-        c_alpha_norm(u1 * u2, grid, alpha),
-        c_alpha_norm(u2 * u2, grid, alpha),
-    )
+    tensor = np.empty((3, grid.nx, grid.ny))
+    np.multiply(u1, u1, out=tensor[0])
+    np.multiply(u1, u2, out=tensor[1])
+    np.multiply(u2, u2, out=tensor[2])
+    den = float(np.max(np.add(*_c_alpha_parts(tensor, grid, alpha))))
+    del tensor
     if den == 0.0:
         raise ValueError("velocity tensor vanishes; the ratio is undefined")
     return c_alpha_norm(sol.P.values[0], grid, alpha) / den
@@ -356,8 +361,42 @@ class TrigPoly2D:
         return out
 
     def sample(self, grid: ChannelGrid) -> np.ndarray:
-        """Node values on the grid: the series on its axes, broadcast."""
-        return self.evaluate(grid.x[:, None], grid.y[None, :])
+        """Node values on the grid, bitwise :meth:`evaluate` on its axes:
+        the one-poly call of the stacked x-row-block sampler."""
+        return _sample_stack((self,), grid)[0]
+
+
+def _sample_stack(polys, grid: ChannelGrid) -> np.ndarray:
+    """Node values of each :class:`TrigPoly2D` of polys, stacked (k, nx, ny).
+
+    The trig factors are taken on the 1-D axes on the calling thread; the
+    terms then go into the x-row blocks of :func:`_run_blocks`, weighed as
+    nodes times terms, every term into one block before the next block, as
+    term = fx*fy, term *= amp, out += term.  That is bitwise :meth:`evaluate`'s
+    out += amp * (fx * fy), with one block of scratch and no grid-sized
+    temporaries.
+    """
+    x, y = grid.x, grid.y
+    factors = []
+    for poly in polys:
+        terms = []
+        for amp, kx, ky, basis in poly.terms:
+            fx, fy = _BASIS[basis]
+            terms.append((amp, fx(kx * math.pi * x)[:, None], fy(ky * math.pi * y)))
+        factors.append(terms)
+    nx, ny = grid.nx, grid.ny
+    out = np.zeros((len(polys), nx, ny))
+
+    def add(a, b):
+        term = np.empty((b - a, ny))
+        for block, terms in zip(out[:, a:b], factors):
+            for amp, col, row in terms:
+                np.multiply(col[a:b], row, out=term)
+                term *= amp
+                block += term
+
+    _run_blocks(add, nx, 8 * ny, nx * ny * sum(map(len, factors)))
+    return out
 
 
 def random_symmetric_trig_field(seed: int):
@@ -397,15 +436,20 @@ class SchauderSweep:
         return max(self.ratios) / low if low > 0.0 else math.inf
 
 
+def _solve_div_div(F: np.ndarray, grid: ChannelGrid) -> np.ndarray:
+    """v of lap(v) = d_i d_j F_ij, v = 0 at the walls, from the (3, nx, ny)
+    samples of F11, F12 and F22.  The F11 samples are overwritten."""
+    # the transposed samples are y-first views, made without a copy
+    rhs = _div_div(F[0].T, F[1].T, F[2].T, slice(None), grid.hy, _x_symbol(grid, 1),
+                   _x_symbol(grid, 2), _workers(grid.nx * grid.ny))
+    np.negative(rhs, out=rhs)
+    return solve_poisson(rhs.T, grid, "dirichlet")
+
+
 def solve_schauder_problem(F11: TrigPoly2D, F12: TrigPoly2D, F22: TrigPoly2D,
                            grid: ChannelGrid) -> ChannelField:
     """Solve lap(v) = d_i d_j F_ij with v = 0 at the walls."""
-    # the transposed samples are y-first views, made without a copy
-    rhs = _div_div(F11.sample(grid).T, F12.sample(grid).T, F22.sample(grid).T, slice(None),
-                   grid.hy, _x_symbol(grid, 1), _x_symbol(grid, 2),
-                   _workers(grid.nx * grid.ny))
-    np.negative(rhs, out=rhs)
-    return ChannelField._adopt(grid, solve_poisson(rhs.T, grid, "dirichlet"))
+    return ChannelField._adopt(grid, _solve_div_div(_sample_stack((F11, F12, F22), grid), grid))
 
 
 def dirichlet_schauder_check(
@@ -415,23 +459,42 @@ def dirichlet_schauder_check(
     alpha: float,
     resolutions: Sequence[int],
 ) -> SchauderSweep:
-    """Norm-ratio sweep ||v|| / ||F|| in the estimated C^alpha norms."""
+    """Norm-ratio sweep ||v|| / ||F|| in the estimated C^alpha norms, ||F||
+    the largest norm of F11, F12 and F22, on the grid n x (n/2 + 1) of each
+    resolution n.
+
+    Per resolution the three data are sampled once, into one stack.  ||F||
+    comes from one scan of that stack, before the solve overwrites it, and
+    v is solved from the same samples, bitwise :func:`solve_schauder_problem`;
+    zero data skip the solve.  Raises ValueError before any work on an empty
+    resolutions, an alpha outside [0, 1] and a resolution too coarse for the
+    norm estimate (below 32, 4 max(hx, hy) = 8/n exceeds 0.25).
+    """
+    resolutions = tuple(int(n) for n in resolutions)
+    if not resolutions:
+        raise ValueError("resolutions must name at least one resolution")
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    grids = [ChannelGrid(nx=n, ny=n // 2 + 1) for n in resolutions]
+    for grid in grids:
+        h_min, h_max = c_alpha_norm_scales(grid)
+        if h_min > h_max:
+            raise ValueError(
+                f"resolution {grid.nx} is too coarse for the C^alpha norm estimate: "
+                f"4*max(hx, hy) = {h_min:g} exceeds {h_max:g}")
     ratios = []
     zero_data = False
-    for n in resolutions:
-        grid = ChannelGrid(nx=int(n), ny=int(n) // 2 + 1)
-        v = solve_schauder_problem(F11, F12, F22, grid)
-        f_norm = max(
-            c_alpha_norm(F.sample(grid), grid, alpha) for F in (F11, F12, F22)
-        )
+    for grid in grids:
+        F = _sample_stack((F11, F12, F22), grid)
+        f_norm = float(np.max(np.add(*_c_alpha_parts(F, grid, alpha))))
         if f_norm == 0.0:
             zero_data = True
             ratios.append(0.0)
         else:
-            ratios.append(c_alpha_norm(v.values[0], grid, alpha) / f_norm)
+            ratios.append(c_alpha_norm(_solve_div_div(F, grid), grid, alpha) / f_norm)
     return SchauderSweep(
         alpha=float(alpha),
-        resolutions=tuple(int(n) for n in resolutions),
+        resolutions=resolutions,
         ratios=tuple(ratios),
         zero_data=zero_data,
     )

@@ -15,7 +15,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 from holderlab import fields
-from holderlab.fields import ChannelField, ChannelGrid
+from holderlab.fields import ChannelField, ChannelGrid, c_alpha_norm
+from holderlab.pressure import solve_schauder_problem
 from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx
 
 
@@ -28,6 +29,7 @@ def block_partition(block_bytes: int, cpus: int):
         mp.setattr(fields, "_BLOCK_BYTES", block_bytes)
         mp.setattr(fields, "_CPUS", cpus)
         mp.setattr(fields, "_PARALLEL_NODES", 0)
+        mp.setattr(fields, "_PARALLEL_SCAN_WORK", 0)
         yield
 
 
@@ -193,6 +195,27 @@ def banded_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
         band[2, -2] = -2.0 * inv_h2
         u_hat[m] = solve_banded((1, 1), band, rhs_hat[m])
     return np.fft.irfft(u_hat, n=grid.nx, axis=0)
+
+
+# ------------------------------------------------------------ Schauder sweep
+
+
+def trig_poly_by_meshgrid(poly, grid: ChannelGrid) -> np.ndarray:
+    """A TrigPoly2D on the full meshgrid, one whole-grid product per term."""
+    X, Y = grid.meshgrid()
+    return poly.evaluate(X, Y)
+
+
+def schauder_ratios_by_public_calls(F11, F12, F22, alpha: float, resolutions) -> list:
+    """||v|| / ||F|| per resolution from public calls alone: the solve, and
+    each datum sampled and normed on its own; 0.0 for zero data."""
+    ratios = []
+    for n in resolutions:
+        grid = ChannelGrid(nx=n, ny=n // 2 + 1)
+        v = solve_schauder_problem(F11, F12, F22, grid)
+        f_norm = max(c_alpha_norm(F.sample(grid), grid, alpha) for F in (F11, F12, F22))
+        ratios.append(c_alpha_norm(v.values[0], grid, alpha) / f_norm if f_norm else 0.0)
+    return ratios
 
 
 # ------------------------------------------------------------ modified pressure

@@ -135,6 +135,23 @@ def test_rejected_configuration_creates_no_out_dir(tmp_path, capsys, argv, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--seeds", "seeds must name at least one seed"),
+    ("--resolutions", "resolutions must name at least one resolution"),
+])
+def test_schauder_check_rejects_an_empty_list_before_any_sweep(tmp_path, capsys, monkeypatch,
+                                                               flag, message):
+    # an empty seed list used to pass vacuously ("all_bounded": true), and
+    # an empty resolution list leaked min()'s message
+    swept = []
+    monkeypatch.setattr(cli, "dirichlet_schauder_check", lambda *args: swept.append(args))
+    out = tmp_path / "out"
+    assert run("schauder-check", flag, "", "--out", str(out)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert swept == []
+    assert not out.exists()
+
+
 def test_schauder_check_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

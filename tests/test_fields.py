@@ -273,6 +273,35 @@ def test_c_alpha_norm_is_max_plus_largest_component_seminorm(nx, ny, components,
     assert c_alpha_norm(vals, grid, 0.0) == max(top)  # beta = 0: max only
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.sampled_from([32, 64]),
+    ny=st.integers(17, 40),
+    components=st.integers(1, 4),
+    zero=st.booleans(),
+    alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_c_alpha_parts_combine_to_the_per_component_norms(nx, ny, components, zero, alpha,
+                                                           seed, data):
+    # one scan of the stack gives each component's norm and, combined the
+    # other way, the stack's norm, bitwise as c_alpha_norm per component
+    grid = ChannelGrid(nx=nx, ny=ny)
+    vals = np.random.default_rng(seed).standard_normal((components, nx, ny))
+    if zero:
+        vals[data.draw(st.integers(0, components - 1))] = 0.0
+    top, semi = fields._c_alpha_parts(vals, grid, alpha)
+    per_component = [c_alpha_norm(c, grid, alpha) for c in vals]
+    assert (top + semi).tolist() == per_component
+    assert float(np.max(top + semi)) == max(per_component)
+    assert float(top.max() + semi.max()) == c_alpha_norm(vals, grid, alpha)
+    if alpha == 0.0:
+        assert not semi.any()
+    scalar_top, scalar_semi = fields._c_alpha_parts(vals[0], grid, alpha)
+    assert (scalar_top.tolist(), scalar_semi.tolist()) == ([top[0]], [semi[0]])
+
+
 def test_c_alpha_norm_of_zero_field_needs_no_scan():
     coarse = ChannelGrid(nx=8, ny=5)  # 4*max(hx, hy) = 1 exceeds 0.25
     assert c_alpha_norm(np.zeros((2, 8, 5)), coarse, 0.5) == 0.0
@@ -399,6 +428,39 @@ def test_each_estimator_makes_one_scan(monkeypatch):
     with pytest.raises(ValueError, match="exceeds"):
         estimate_holder_exponent(f, [0.125, 0.25, 0.5, 1.0, 2.0])  # 2.0 > half period
     assert calls == []
+
+
+@pytest.mark.parametrize("nx, ny, components, pieces", [
+    (256, 129, 1, 1),  # 14 shifts: 0.46 M node-shift pairs
+    (256, 129, 3, 2),  # 1.4 M
+    (512, 257, 1, 2),  # 20 shifts: 2.6 M
+])
+def test_a_scan_weighs_nodes_times_shifts(monkeypatch, nx, ny, components, pieces):
+    # the piece count of a C^alpha norm scan on two CPUs: the pool's
+    # submissions plus the calling thread's own piece
+    grid = ChannelGrid(nx, ny)
+    vals = np.random.default_rng(3).standard_normal((components, nx, ny))
+    submitted = []
+    pool = fields._pool()
+
+    class Counting:
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(fields, "_CPUS", 2)
+    monkeypatch.setattr(fields, "_pool", Counting)
+    shifts = fields._shift_maxima
+    counts = []
+
+    def counting(stack, scan_shifts):
+        counts.append(len(scan_shifts))
+        return shifts(stack, scan_shifts)
+
+    monkeypatch.setattr(fields, "_shift_maxima", counting)
+    c_alpha_norm(vals, grid, 0.5)
+    assert counts == [14 if nx == 256 else 20]
+    assert len(submitted) + 1 == pieces
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holderlab import acceptance, cli
+from holderlab import acceptance, cli, fields, pressure
 from holderlab.fields import ChannelField, ChannelGrid
 from holderlab.pressure import (
     CutoffProfile,
@@ -27,6 +27,8 @@ from conftest import (
     dy_odd_by_expression,
     dyy_even_by_expression,
     modified_pressure_by_expression,
+    schauder_ratios_by_public_calls,
+    trig_poly_by_meshgrid,
 )
 
 PHI = CutoffProfile(delta=0.2)
@@ -324,6 +326,120 @@ def test_a_zero_ratio_fails_criterion_9_and_schauder_check(monkeypatch, tmp_path
     assert not res.passed
     monkeypatch.setattr(cli, "dirichlet_schauder_check", lambda *args: sweep)
     assert cli.main(["schauder-check", "--seeds", "0", "--out", str(tmp_path)]) == 1
+
+
+_TERMS = st.tuples(st.floats(-2.0, 2.0), st.integers(0, 6), st.integers(0, 6),
+                   st.sampled_from(["cc", "cs", "sc", "ss"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_nx=st.integers(2, 7),
+    ny=st.integers(3, 65),
+    polys=st.lists(st.lists(_TERMS, max_size=6), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_stacked_sampler_matches_the_per_term_loop_bitwise(log2_nx, ny, polys, data):
+    # blocks from one x-row to the whole grid, in one to three pieces; an
+    # empty polynomial samples to zeros
+    grid = ChannelGrid(2**log2_nx, ny)
+    polys = [TrigPoly2D(terms=tuple(t)) for t in polys] + [TrigPoly2D(terms=())]
+    block_bytes = data.draw(st.one_of(st.sampled_from([8, 1 << 30]),
+                                      st.integers(8, 8 * grid.nx * ny)))
+    with block_partition(block_bytes, data.draw(st.integers(1, 3))):
+        stack = pressure._sample_stack(polys, grid)
+        one = polys[0].sample(grid)
+    assert stack.shape == (len(polys), grid.nx, ny)
+    for got, poly in zip(stack, polys):
+        assert got.tobytes() == trig_poly_by_meshgrid(poly, grid).tobytes()
+    assert one.tobytes() == stack[0].tobytes()
+    assert not stack[-1].any()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    zero=st.sampled_from([None, 0, 1, 2]),
+    resolutions=st.lists(st.sampled_from([32, 64, 128]), min_size=1, max_size=3),
+)
+def test_sweep_matches_a_reference_from_public_calls_bitwise(seed, alpha, zero, resolutions):
+    # the stacked sample, the one scan and the shared solve body against
+    # the public solve and one sample and norm per datum
+    data = list(random_symmetric_trig_field(seed))
+    if zero is not None:
+        data[zero] = TrigPoly2D(terms=())
+    sweep = dirichlet_schauder_check(*data, alpha, resolutions)
+    assert list(sweep.ratios) == schauder_ratios_by_public_calls(*data, alpha, resolutions)
+    assert sweep.resolutions == tuple(resolutions)
+
+
+def test_sweep_samples_once_and_scans_twice_per_resolution(monkeypatch):
+    samples, scans = [], []
+    sample_stack, shift_maxima = pressure._sample_stack, fields._shift_maxima
+
+    def counting_sample(polys, grid):
+        samples.append(len(polys))
+        return sample_stack(polys, grid)
+
+    def counting_scan(vals, shifts):
+        scans.append(vals.shape)
+        return shift_maxima(vals, shifts)
+
+    monkeypatch.setattr(pressure, "_sample_stack", counting_sample)
+    monkeypatch.setattr(fields, "_shift_maxima", counting_scan)
+    F11, F12, F22 = random_symmetric_trig_field(3)
+    dirichlet_schauder_check(F11, F12, F22, 0.5, (32, 64, 128))
+    assert samples == [3, 3, 3]
+    assert scans == [(k, n, n // 2 + 1) for n in (32, 64, 128) for k in (3, 1)]
+
+    grid = ChannelGrid(64, 65)
+    u = single_mode_flow(grid)
+    sol = solve_modified_pressure(u, PHI)
+    scans.clear()
+    estimate_ratio(sol, u, 0.5)
+    assert scans == [(3, 64, 65), (1, 64, 65)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                    st.floats(min_value=1.0, exclude_min=True), st.just(math.nan),
+                    st.sampled_from([0.0, 1.0])),
+    good=st.lists(st.sampled_from([32, 64]), max_size=3),
+    coarse=st.sampled_from([None, 4, 8, 16]),
+    data=st.data(),
+)
+def test_sweep_rejects_bad_input_before_any_work(alpha, good, coarse, data):
+    # each bad input raises before the first sample or solve: an empty
+    # resolution list, an alpha outside [0, 1] or NaN, and a resolution
+    # below 32 anywhere in the list; 0, 1 and 32 themselves are admitted
+    resolutions = list(good)
+    if coarse is not None:
+        resolutions.insert(data.draw(st.integers(0, len(good))), coarse)
+    if not resolutions:
+        message = "at least one resolution"
+    elif not 0.0 <= alpha <= 1.0:
+        message = "alpha must lie in"
+    elif coarse is not None:
+        message = f"resolution {coarse} is too coarse"
+    else:
+        message = None
+    ran = []
+
+    class Sampled(Exception):
+        pass
+
+    def first_sample(*args):
+        ran.append("sample")
+        raise Sampled
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pressure, "_sample_stack", first_sample)
+        mp.setattr(pressure, "solve_poisson", lambda *args: ran.append("solve"))
+        with pytest.raises(Sampled if message is None else ValueError, match=message):
+            dirichlet_schauder_check(*random_symmetric_trig_field(1), alpha, resolutions)
+    assert ran == (["sample"] if message is None else [])
 
 
 def test_trig_poly_validation_and_sampling():

@@ -5,7 +5,9 @@ line" section, ``mollify-report`` on 256x513 and 512x1025 grids,
 ``pressure-solve`` with the Weierstrass flow up to a 512x513 grid and
 ``schauder-check`` up to a 1024x513 grid (the last three at least 2^18
 nodes, so the block runner's parallel path and the multi-worker x-FFTs
-run), using the ``holderlab`` that ``python -m`` finds (set
+run), and ``schauder-check`` at alpha 0.25 from the coarsest admissible
+grid, 32x17, to 512x257, whose stacked samples and scans are split into
+pieces.  It uses the ``holderlab`` that ``python -m`` finds (set
 ``PYTHONPATH`` to choose a source tree).  For each command it prints the
 exit code, then ``sha256  path`` for every file the command wrote.
 Nothing printed depends on the time or on the temporary path, so two
@@ -41,6 +43,7 @@ COMMANDS = (
     "mollify-report --nx 512 --ny 1025 --epsilons 0.02,0.01,0.005 --out runs/mol512",
     "pressure-solve --flow weierstrass --grids 64,128,512 --out runs/psw",
     "schauder-check --seeds 0 --resolutions 512,1024 --out runs/sch1024",
+    "schauder-check --alpha 0.25 --seeds 5,6 --resolutions 32,64,128,256,512 --out runs/sch25",
 )
 
 
