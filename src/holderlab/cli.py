@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance
-from .fields import ChannelField, ChannelGrid, c_alpha_norm_scales, holder_quotient
+from .fields import (ChannelField, ChannelGrid, _check_norm_scales, c_alpha_norm_scales,
+                     holder_quotient)
 from .formats import write_csv, write_json
 from .geometry import PATCH_BUILDERS
 from .mollify import mollification_report
@@ -252,11 +253,7 @@ def cmd_pressure_solve(params: dict, out: Path) -> int:
         raise ConfigError("grids must name at least one resolution")
     channel_grids = [ChannelGrid(nx=int(n), ny=int(n) + 1) for n in grids]
     for grid in channel_grids:
-        h_min, h_max = c_alpha_norm_scales(grid)
-        if h_min > h_max:
-            raise ConfigError(
-                f"grid nx={grid.nx} is too coarse for the C^alpha norm estimate: "
-                f"4*max(hx, hy) = {h_min:g} exceeds {h_max:g}")
+        _check_norm_scales(grid)
     flow = _pressure_flow(str(params["flow"]), float(params["alpha"]),
                           int(params["n_terms"]))
     phi = CutoffProfile(delta=float(params["delta"]))

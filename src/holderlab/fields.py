@@ -19,22 +19,23 @@ The grid kernels run on one block runner, :func:`_run_blocks`.  It splits
 an index range into one contiguous piece per CPU this process may use, cuts
 each piece into blocks of about ``_BLOCK_BYTES``, and runs the first piece
 on the calling thread and the rest on a thread pool made on first use.  The
-kernels are this scan, the lacunary samplers of
-:mod:`holderlab.weierstrass` and the trig-polynomial sampler of
-:mod:`holderlab.pressure` (both in x-row blocks), the mollifier's taps,
-and the Poisson layer.  In :mod:`holderlab.spectral` the y-solves run in
-blocks of x-mode rows; in :mod:`holderlab.pressure` the modified-pressure
-solve is three passes: column blocks with one halo column each side (the
-right-hand side and its spectrum), x-mode row blocks (the y-solve) and
-column blocks again (P and its residual).  Work under ``_PARALLEL_NODES``
-values (the array's size; for the mollifier, nodes times taps; for the
-trig sampler, nodes times terms) runs as one piece on the calling thread.
-A shift scan weighs its work as nodes times shifts against its own
-``_PARALLEL_SCAN_WORK`` = 2^20, so a single-component scan of a 256x129
-grid stays on one thread while a three-component stack of it, or one
-512x257 component, is split.  The size rule, :func:`_workers`, also gives
-the worker count of the whole-array x-FFTs that the calling thread makes
-outside the runner.
+kernels are this scan, one product-sum kernel and the Poisson layer.  The
+product-sum kernel, :func:`_sum_products`, adds products of a column or a
+grid-shaped view with a row or a scalar into the x-row blocks of a stack;
+the lacunary samplers of :mod:`holderlab.weierstrass`, the trig-polynomial
+sampler of :mod:`holderlab.pressure` and the mollifier's taps are its
+products.  In :mod:`holderlab.spectral` the y-solves run in blocks of
+x-mode rows; in :mod:`holderlab.pressure` the modified-pressure solve is
+three passes: column blocks with one halo column each side (the right-hand
+side and its spectrum), x-mode row blocks (the y-solve) and column blocks
+again (P and its residual).  Work under ``_PARALLEL_NODES`` values (the
+array's size; for the product sum, nodes times products) runs as one piece
+on the calling thread.  A shift scan weighs its work as nodes times shifts
+against its own ``_PARALLEL_SCAN_WORK`` = 2^20, so a single-component scan
+of a 256x129 grid stays on one thread while a three-component stack of it,
+or one 512x257 component, is split.  The size rule, :func:`_workers`, also
+gives the worker count of the whole-array x-FFTs that the calling thread
+makes outside the runner.
 The pieces run numpy and ``scipy.fft`` with one worker only, and each
 result element is computed by the same operations whatever the partition,
 so results do not depend on the core count.
@@ -155,6 +156,29 @@ def _run_blocks(fn, n: int, row_bytes: int, work: int, threshold: int | None = N
     finally:
         wait(futures)
     return first + [r for f in futures for r in f.result()]
+
+
+def _sum_products(out: np.ndarray, products) -> None:
+    """out[c] += a * b (* scale) for each product (c, a, b, scale), in list
+    order, on a (components, nx, ny) stack: a is an (nx, 1) column or an
+    (nx, ny) view, b a row or a scalar, scale a float or None.
+
+    Every product goes into one x-row block of :func:`_run_blocks` before the
+    next block, as t = a * b, t *= scale, out[c] += t through one block of
+    scratch, so no element depends on the partition.  The work is weighed as
+    nodes times products.
+    """
+    nx, ny = out.shape[1:]
+
+    def add(r, s):
+        t = np.empty((s - r, ny))
+        for c, a, b, scale in products:
+            np.multiply(a[r:s], b, out=t)
+            if scale is not None:
+                t *= scale
+            out[c, r:s] += t
+
+    _run_blocks(add, nx, 8 * ny, nx * ny * len(products))
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -472,6 +496,15 @@ def c_alpha_norm_scales(grid: ChannelGrid) -> tuple[float, float]:
     return 4.0 * max(grid.hx, grid.hy), _NORM_H_MAX
 
 
+def _check_norm_scales(grid: ChannelGrid) -> None:
+    """Raise ValueError if the h_min of :func:`c_alpha_norm_scales` exceeds its h_max."""
+    h_min, h_max = c_alpha_norm_scales(grid)
+    if h_min > h_max:
+        raise ValueError(
+            f"resolution {grid.nx} is too coarse for the C^alpha norm estimate: "
+            f"4*max(hx, hy) = {h_min:g} exceeds {h_max:g}")
+
+
 def _c_alpha_parts(vals: np.ndarray, grid: ChannelGrid,
                    alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(max |c|, dyadic seminorm of c) for each component c of node values of
@@ -483,7 +516,9 @@ def _c_alpha_parts(vals: np.ndarray, grid: ChannelGrid,
     max(semi); the largest norm of one component is max(top + semi).
     """
     stack = np.reshape(vals, (-1, grid.nx, grid.ny))
-    top = np.max(np.abs(stack), axis=(1, 2))
+    # max |c| without an |stack| copy; + 0.0 turns the -0.0 that
+    # np.maximum may give for a zero component into +0.0
+    top = np.maximum(np.max(stack, axis=(1, 2)), -np.min(stack, axis=(1, 2))) + 0.0
     if not np.isfinite(top).all():
         raise ValueError("non-finite node values: the C^alpha norm needs finite samples")
     if alpha == 0.0 or not top.any():

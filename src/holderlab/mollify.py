@@ -30,7 +30,7 @@ import numpy as np
 from .fields import (
     ChannelField,
     ChannelGrid,
-    _run_blocks,
+    _sum_products,
     _wall_max,
     c_alpha_norm,
     check_tangential,
@@ -161,33 +161,23 @@ def mollify_stream(psi: ChannelField, m: Mollifier) -> ChannelField:
             f"{mrows * grid.hy}"
         )
     w, ax, ay = _kernel_weights(m, grid)
-    # row k of ext is x row (k - ax) mod nx, so x rows [r, s) shifted down
-    # by a are the rows [r + ax - a, s + ax - a) of ext
+    # row k of ext is x row (k - ax) mod nx, so the x rows shifted down by a
+    # are the rows [ax - a, ax - a + nx) of ext
     ext = np.pad(_odd_extend(psi.values[0], mrows), ((ax, ax), (0, 0)), mode="wrap")
     nx, ny = grid.nx, grid.ny
-    # (row offset into ext, y-shifted columns, weight) per nonzero tap,
-    # column offset outer and row offset inner
-    taps = [(ax - a, ext[:, mrows - b:mrows - b + ny], w[a + ax, b + ay])
+    # one product per nonzero tap, column offset outer and row offset inner
+    taps = [(0, ext[ax - a:ax - a + nx, mrows - b:mrows - b + ny], w[a + ax, b + ay], None)
             for b in range(-ay, ay + 1) for a in range(-ax, ax + 1)
             if w[a + ax, b + ay] != 0.0]
-    out = np.zeros((nx, ny))
-
-    def convolve(r, s):
-        # every tap into one x-row block before the next block, so each
-        # element sums its taps in the order above
-        block, tap = out[r:s], np.empty((s - r, ny))
-        for off, col, weight in taps:
-            np.multiply(col[r + off:s + off], weight, out=tap)
-            block += tap
-
-    _run_blocks(convolve, nx, 8 * ny, out.size * w.size)
+    out = np.zeros((1, nx, ny))
+    _sum_products(out, taps)
     wall_worst = _wall_max(out)
     if wall_worst > 1e-12:
         raise ValueError(
             f"mollified stream fails to vanish at the walls ({wall_worst:.3e})"
         )
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
     return ChannelField._adopt(grid, out)
 
 

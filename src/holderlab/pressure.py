@@ -39,10 +39,11 @@ from .fields import (  # noqa: F401
     ChannelField,
     ChannelGrid,
     _c_alpha_parts,
+    _check_norm_scales,
     _run_blocks,
+    _sum_products,
     _workers,
     c_alpha_norm,
-    c_alpha_norm_scales,
     check_tangential,
     holder_quotient,
 )
@@ -370,32 +371,19 @@ def _sample_stack(polys, grid: ChannelGrid) -> np.ndarray:
     """Node values of each :class:`TrigPoly2D` of polys, stacked (k, nx, ny).
 
     The trig factors are taken on the 1-D axes on the calling thread; the
-    terms then go into the x-row blocks of :func:`_run_blocks`, weighed as
-    nodes times terms, every term into one block before the next block, as
+    terms then go through :func:`fields._sum_products` with scale amp, as
     term = fx*fy, term *= amp, out += term.  That is bitwise :meth:`evaluate`'s
     out += amp * (fx * fy), with one block of scratch and no grid-sized
     temporaries.
     """
     x, y = grid.x, grid.y
-    factors = []
-    for poly in polys:
-        terms = []
+    products = []
+    for i, poly in enumerate(polys):
         for amp, kx, ky, basis in poly.terms:
             fx, fy = _BASIS[basis]
-            terms.append((amp, fx(kx * math.pi * x)[:, None], fy(ky * math.pi * y)))
-        factors.append(terms)
-    nx, ny = grid.nx, grid.ny
-    out = np.zeros((len(polys), nx, ny))
-
-    def add(a, b):
-        term = np.empty((b - a, ny))
-        for block, terms in zip(out[:, a:b], factors):
-            for amp, col, row in terms:
-                np.multiply(col[a:b], row, out=term)
-                term *= amp
-                block += term
-
-    _run_blocks(add, nx, 8 * ny, nx * ny * sum(map(len, factors)))
+            products.append((i, fx(kx * math.pi * x)[:, None], fy(ky * math.pi * y), amp))
+    out = np.zeros((len(polys), grid.nx, grid.ny))
+    _sum_products(out, products)
     return out
 
 
@@ -477,11 +465,7 @@ def dirichlet_schauder_check(
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     grids = [ChannelGrid(nx=n, ny=n // 2 + 1) for n in resolutions]
     for grid in grids:
-        h_min, h_max = c_alpha_norm_scales(grid)
-        if h_min > h_max:
-            raise ValueError(
-                f"resolution {grid.nx} is too coarse for the C^alpha norm estimate: "
-                f"4*max(hx, hy) = {h_min:g} exceeds {h_max:g}")
+        _check_norm_scales(grid)
     ratios = []
     zero_data = False
     for grid in grids:

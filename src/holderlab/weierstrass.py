@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ChannelField, ChannelGrid, _run_blocks
+from .fields import ChannelField, ChannelGrid, _sum_products
 from .trig import cospi_array, sinpi_array
 
 __all__ = [
@@ -62,32 +62,17 @@ def _column_and_row(x: np.ndarray, y: np.ndarray) -> bool:
     return x.ndim == y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1
 
 
-def _add_terms(out: np.ndarray, terms, on_grid_axes: bool) -> None:
-    """out[c] = op(out[c], a * b) for each product (c, op, a, b) of each
-    term, in order.
-
-    On a grid's axes (every a a column, every b a row) all terms are
-    built first, on the 1-D axes and on the calling thread; the products
-    then go into the x-row blocks of :func:`_run_blocks`, every product
-    into one block before the next block, with one block of scratch per
-    block.  Otherwise the terms are added one at a time through one
-    scratch array of out's element shape.
-    """
-    if not on_grid_axes:
-        scratch = np.empty(out.shape[1:])
-        for term in terms:
-            for c, op, a, b in term:
-                op(out[c, ...], np.multiply(a, b, out=scratch), out=out[c, ...])
+def _add_terms(out: np.ndarray, products, on_grid_axes: bool) -> None:
+    """out[c] += a * b for each product (c, a, b, None), in order: on a
+    grid's axes (every a a column, every b a row) by
+    :func:`fields._sum_products`, otherwise one at a time through one scratch
+    array of out's element shape."""
+    if on_grid_axes:
+        _sum_products(out, list(products))
         return
-    products = [prod for term in terms for prod in term]
-    nx, ny = out.shape[1:]
-
-    def add(a, b):
-        block, t = out[:, a:b], np.empty((b - a, ny))
-        for c, op, col, row in products:
-            op(block[c], np.multiply(col[a:b], row, out=t), out=block[c])
-
-    _run_blocks(add, nx, 8 * ny, out.size)
+    scratch = np.empty(out.shape[1:])
+    for c, a, b, _ in products:
+        out[c, ...] += np.multiply(a, b, out=scratch)
 
 
 def _velocity_terms(p: WeierstrassParams, x: np.ndarray, y: np.ndarray):
@@ -96,7 +81,9 @@ def _velocity_terms(p: WeierstrassParams, x: np.ndarray, y: np.ndarray):
         w = 2.0 ** (-p.alpha * k)
         sx, cx = sinpi_array(freq * x), cospi_array(freq * x)
         sy, cy = sinpi_array(freq * y), cospi_array(freq * y)
-        yield (0, np.subtract, w * sx, cy), (1, np.add, w * cx, sy)
+        # u1 takes the negated column: out + (-a)*b is bitwise out - a*b
+        yield (0, -w * sx, cy, None)
+        yield (1, w * cx, sy, None)
 
 
 def eval_velocity(p: WeierstrassParams, x, y) -> np.ndarray:
@@ -118,7 +105,7 @@ def _stream_terms(p: WeierstrassParams, x: np.ndarray, y: np.ndarray):
     for k in range(p.n_terms + 1):
         freq = float(2**k)
         w = 2.0 ** (-(p.alpha + 1.0) * k)
-        yield ((0, np.subtract, w * sinpi_array(freq * x), sinpi_array(freq * y)),)
+        yield (0, -w * sinpi_array(freq * x), sinpi_array(freq * y), None)
 
 
 def eval_stream(p: WeierstrassParams, x, y) -> np.ndarray:

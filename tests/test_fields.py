@@ -278,7 +278,7 @@ def test_c_alpha_norm_is_max_plus_largest_component_seminorm(nx, ny, components,
     nx=st.sampled_from([32, 64]),
     ny=st.integers(17, 40),
     components=st.integers(1, 4),
-    zero=st.booleans(),
+    zero=st.sampled_from([None, 0.0, -0.0, "signed"]),
     alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     data=st.data(),
@@ -286,12 +286,17 @@ def test_c_alpha_norm_is_max_plus_largest_component_seminorm(nx, ny, components,
 def test_c_alpha_parts_combine_to_the_per_component_norms(nx, ny, components, zero, alpha,
                                                            seed, data):
     # one scan of the stack gives each component's norm and, combined the
-    # other way, the stack's norm, bitwise as c_alpha_norm per component
+    # other way, the stack's norm, bitwise as c_alpha_norm per component;
+    # max |c| is bitwise that of an |stack| copy, +0.0 for a component of
+    # zeros of either sign
     grid = ChannelGrid(nx=nx, ny=ny)
-    vals = np.random.default_rng(seed).standard_normal((components, nx, ny))
-    if zero:
-        vals[data.draw(st.integers(0, components - 1))] = 0.0
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((components, nx, ny))
+    if zero is not None:
+        c = data.draw(st.integers(0, components - 1))
+        vals[c] = np.copysign(0.0, rng.standard_normal((nx, ny))) if zero == "signed" else zero
     top, semi = fields._c_alpha_parts(vals, grid, alpha)
+    assert top.tobytes() == np.max(np.abs(vals), axis=(1, 2)).tobytes()
     per_component = [c_alpha_norm(c, grid, alpha) for c in vals]
     assert (top + semi).tolist() == per_component
     assert float(np.max(top + semi)) == max(per_component)
@@ -369,6 +374,43 @@ def test_run_blocks_tiles_its_range_in_order_within_pieces(n, row_bytes, cpus, p
         i = max(i for i in range(pieces) if bounds[i] <= a)
         assert b <= bounds[i + 1]
         assert i > 0 or threads[a] == threading.get_ident()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nx=st.integers(1, 12),
+    ny=st.integers(1, 9),
+    components=st.integers(1, 3),
+    block_bytes=st.sampled_from([8, 8 * 9, 1 << 20]),
+    cpus=st.integers(1, 3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_sum_products_matches_a_whole_array_loop_bitwise(nx, ny, components, block_bytes,
+                                                          cpus, seed, data):
+    # columns times rows and strided (nx, ny) views times scalars, with
+    # and without a scale, none at all, and a last component that no
+    # product names: the blocked sum equals the whole-array loop bit for bit
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((nx + 3, ny + 2))
+    products = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        c = data.draw(st.integers(0, components - 1))
+        if data.draw(st.booleans()):
+            a, b = rng.standard_normal((nx, 1)), rng.standard_normal(ny)
+        else:
+            i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+            a, b = base[i:i + nx, j:j + ny], float(rng.standard_normal())
+        scale = data.draw(st.sampled_from([None, float(rng.standard_normal())]))
+        products.append((c, a, b, scale))
+    out = rng.standard_normal((components + 1, nx, ny))
+    expected = out.copy()
+    for c, a, b, scale in products:
+        term = a * b
+        expected[c] = expected[c] + (term if scale is None else term * scale)
+    with block_partition(block_bytes, cpus):
+        fields._sum_products(out, products)
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_concurrent_callers_share_the_block_runner():

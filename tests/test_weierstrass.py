@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holderlab import fields, trig, weierstrass
+from holderlab import fields, mollify, pressure, trig, weierstrass
 from holderlab.fields import ChannelField, ChannelGrid, modulus_of_continuity
+from holderlab.mollify import Mollifier, mollify_stream
+from holderlab.pressure import TrigPoly2D
 from holderlab.weierstrass import (
     WeierstrassParams,
     eval_stream,
@@ -90,9 +92,11 @@ def test_grid_samplers_match_pointwise_evaluation_bitwise(log2_nx, ny, alpha, n_
 
 
 def test_package_functions_stay_on_the_calling_thread(monkeypatch):
-    # the block runner's blocks run numpy only: every traced package
-    # function runs on the caller's thread, and velocity_field evaluates
-    # the series once on the whole grid
+    # the product-sum kernel's blocks run numpy only: for each grid sampler
+    # (the lacunary velocity and stream, the trig polynomial, the mollifier)
+    # every traced package function runs on the caller's thread while the
+    # pool runs blocks too, and velocity_field evaluates the series once on
+    # the whole grid
     grid = ChannelGrid(512, 513)
     assert grid.nx * grid.ny >= fields._PARALLEL_NODES
     monkeypatch.setattr(fields, "_CPUS", 2)
@@ -109,24 +113,37 @@ def test_package_functions_stay_on_the_calling_thread(monkeypatch):
 
     for module, name in ((trig, "sinpi_array"), (trig, "cospi_array"),
                          (weierstrass, "sinpi_array"), (weierstrass, "cospi_array"),
-                         (weierstrass, "eval_velocity"), (weierstrass, "eval_stream")):
+                         (weierstrass, "eval_velocity"), (weierstrass, "eval_stream"),
+                         (pressure, "_sample_stack"), (mollify, "_kernel_weights"),
+                         (mollify, "_wall_max")):
         recorded(module, name)
-    blocks = []
-    run_blocks = weierstrass._run_blocks
+    blocks, sampler = [], []
+    run_blocks = fields._run_blocks
 
-    def recorded_blocks(fn, n, row_bytes, work):
+    def recorded_blocks(fn, n, row_bytes, work, threshold=None):
+        tag = sampler[-1]
+
         def block(a, b):
-            blocks.append(threading.get_ident())
+            blocks.append((tag, threading.get_ident()))
             return fn(a, b)
-        return run_blocks(block, n, row_bytes, work)
+        return run_blocks(block, n, row_bytes, work, threshold)
 
-    monkeypatch.setattr(weierstrass, "_run_blocks", recorded_blocks)
+    monkeypatch.setattr(fields, "_run_blocks", recorded_blocks)
     p = WeierstrassParams(alpha=0.3, n_terms=3)
+    poly = TrigPoly2D(terms=((0.5, 1, 2, "cs"), (-1.25, 3, 0, "sc")))
+    sampler.append("velocity")
     velocity_field(p, grid)
-    stream_field(p, grid)
+    sampler.append("stream")
+    psi = stream_field(p, grid)
+    sampler.append("trig")
+    poly.sample(grid)
+    sampler.append("mollifier")
+    mollify_stream(psi, Mollifier(0.01))
     caller = threading.get_ident()
     assert {ident for _, ident, _ in calls} == {caller}
-    assert caller in blocks and len(set(blocks)) > 1  # the pool ran blocks too
+    for tag in sampler:
+        idents = {ident for t, ident in blocks if t == tag}
+        assert caller in idents and len(idents) > 1  # the pool ran blocks too
     series = [(name, args) for name, _, args in calls if name.startswith("eval_")]
     assert [name for name, _ in series] == ["eval_velocity", "eval_stream"]
     for _, (_, x, y) in series:

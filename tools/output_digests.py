@@ -7,7 +7,11 @@ line" section, ``mollify-report`` on 256x513 and 512x1025 grids,
 nodes, so the block runner's parallel path and the multi-worker x-FFTs
 run), and ``schauder-check`` at alpha 0.25 from the coarsest admissible
 grid, 32x17, to 512x257, whose stacked samples and scans are split into
-pieces.  It uses the ``holderlab`` that ``python -m`` finds (set
+pieces.  The product-sum kernel weighs grid nodes times products, so the
+small runs cover both sides of its piece count too: ``weierstrass-scan``
+samples its 256x257 velocity in pieces, and ``mollify-report`` on 64x129
+samples its velocity in pieces but adds the 31 taps of epsilon 0.05 in
+one.  It uses the ``holderlab`` that ``python -m`` finds (set
 ``PYTHONPATH`` to choose a source tree).  For each command it prints the
 exit code, then ``sha256  path`` for every file the command wrote.
 Nothing printed depends on the time or on the temporary path, so two
