@@ -10,8 +10,9 @@ from the config, no timestamps in any output.  Every file goes through
 Exit codes: 0 success, 1 invariant-suite failure, 2 invalid
 configuration.  Parameters may come from flags or from a JSON config
 file (``--config``) with identical keys; explicit flags win.  Unknown
-config keys are rejected.  Each subcommand and its keys are declared
-once, in :data:`COMMANDS`.
+config keys are rejected, and a key whose flag takes a number takes
+only a JSON number: an integer where the flag takes an integer.  Each
+subcommand and its keys are declared once, in :data:`COMMANDS`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ class ConfigError(Exception):
     """Raised for invalid or out-of-range configuration."""
 
 
+# the JSON types a config value of a numeric key may take, by the type of
+# the key's default (a JSON true or false is a bool, so neither passes)
+_NUMBER_KEYS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
 def _parse_list(value, kind) -> list:
     """A comma-separated string, or a JSON list, of ``kind`` values."""
     try:
@@ -96,7 +102,11 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
         if flag_value is not None:
             params[key] = flag_value
         elif key in file_params:
-            params[key] = file_params[key]
+            value = file_params[key]
+            kinds, what = _NUMBER_KEYS.get(type(default), (None, None))
+            if kinds and type(value) not in kinds:
+                raise ConfigError(f"config key {key} must be {what}, got {value!r}")
+            params[key] = value
         else:
             params[key] = default
     return params
@@ -254,6 +264,9 @@ def cmd_pressure_solve(params: dict, out: Path) -> int:
     channel_grids = [ChannelGrid(nx=int(n), ny=int(n) + 1) for n in grids]
     for grid in channel_grids:
         _check_norm_scales(grid)
+    ratio_alpha = float(params["ratio_alpha"])
+    if not 0.0 <= ratio_alpha <= 1.0:
+        raise ConfigError(f"ratio_alpha must lie in [0, 1], got {ratio_alpha}")
     flow = _pressure_flow(str(params["flow"]), float(params["alpha"]),
                           int(params["n_terms"]))
     phi = CutoffProfile(delta=float(params["delta"]))
@@ -262,7 +275,7 @@ def cmd_pressure_solve(params: dict, out: Path) -> int:
     for grid in channel_grids:
         u = flow(grid)
         sol = solve_modified_pressure(u, phi)
-        ratio = estimate_ratio(sol, u, float(params["ratio_alpha"]))
+        ratio = estimate_ratio(sol, u, ratio_alpha)
         invariants_ok = invariants_ok \
             and sol.pde_residual <= acceptance.MAX_PRESSURE_RESIDUAL \
             and sol.mean_constraint_residual <= acceptance.MAX_PRESSURE_RESIDUAL

@@ -59,13 +59,10 @@ from functools import cache
 
 import numpy as np
 
-from .formats import write_csv
-
 __all__ = [
     "ChannelGrid",
     "ChannelField",
     "HolderEstimate",
-    "write_field_csv",
     "modulus_of_continuity",
     "holder_quotient",
     "c_alpha_norm_scales",
@@ -219,9 +216,6 @@ class ChannelGrid:
     def y(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.ny)
 
-    def meshgrid(self):
-        return np.meshgrid(self.x, self.y, indexing="ij")
-
     def wall_row_index(self, y: float) -> int:
         """Index of the grid line at height y, which must be on-grid."""
         j = int(round(y / self.hy))
@@ -307,17 +301,6 @@ class ChannelField:
         for v, part in zip(values, parts):
             v[...] = part
         return cls._adopt(grid, values)
-
-
-def write_field_csv(field: ChannelField, path) -> None:
-    """Write a field as CSV rows x,y,component,value (component-major, y outer, x inner)."""
-    g, nc = field.grid, field.components
-    write_csv(path, ["x", "y", "component", "value"], zip(
-        np.tile(g.x, g.ny * nc).tolist(),
-        np.tile(np.repeat(g.y, g.nx), nc).tolist(),
-        np.repeat(np.arange(nc), g.nx * g.ny).tolist(),
-        field.values.transpose(0, 2, 1).ravel().tolist(),
-    ))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ __all__ = [
     "ChartScalarField",
     "ChartVectorField",
     "make_surface_patch",
-    "normal",
     "chart",
     "metric",
     "gradient_curvilinear",
@@ -237,12 +236,6 @@ def make_surface_patch(height, grad, hess, domain, delta, name="") -> SurfacePat
     _check_derivatives(patch)
     _scan_degeneracy(patch)
     return patch
-
-
-def normal(patch: SurfacePatch, sigma1, sigma2) -> np.ndarray:
-    """Inward unit normal (d1 a, d2 a, -1)/sqrt(1 + |grad a|^2), shape (..., 3)."""
-    s1, s2, _ = np.moveaxis(_stack(sigma1, sigma2, 0.0), -1, 0)
-    return _unit_normal(_shaped(s1.shape + (2,), patch.grad(s1, s2)))[0]
 
 
 def _points(patch: SurfacePatch, pt: TubularPoint) -> np.ndarray:

@@ -18,17 +18,18 @@ goes first, which measured slightly faster than the other order on tall
 grids.
 
 Every transform is a ``scipy.fft`` call.  The x-transforms of
-:func:`spectral_dx`, :func:`spectral_dxx`, :func:`solve_poisson` and the
-Schauder right-hand side of :mod:`holderlab.pressure` are one whole-array
-call each, on the workers that the block runner's size rule,
-``fields._workers``, gives their real values: every usable CPU from
-``_PARALLEL_NODES`` values on, otherwise one.  The y-part of a solve (the
-y-transform, the division by the symbol and the inverse, ``_y_solve``)
-runs on the runner's blocks of x-mode rows, whose y-lines are contiguous,
-with one worker per block.  The modified-pressure solve of
-:mod:`holderlab.pressure` runs these same line kernels, with one worker,
-inside its own three block passes.  No 1-D transform depends on the
-partition or the worker count.
+:func:`spectral_dx`, :func:`solve_poisson` and the Schauder right-hand
+side of :mod:`holderlab.pressure` are one whole-array call each, on the
+workers that the block runner's size rule, ``fields._workers``, gives
+their real values: every usable CPU from ``_PARALLEL_NODES`` values on,
+otherwise one.  The second x-derivative has no public function; the
+pressure solves take it through ``_derivative`` with the order-2 symbol.
+The y-part of a solve (the y-transform, the division by the symbol and
+the inverse, ``_y_solve``) runs on the runner's blocks of x-mode rows,
+whose y-lines are contiguous, with one worker per block.  The
+modified-pressure solve of :mod:`holderlab.pressure` runs these same
+line kernels, with one worker, inside its own three block passes.  No
+1-D transform depends on the partition or the worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import scipy.fft
 
 from .fields import ChannelGrid, _run_blocks, _workers
 
-__all__ = ["x_wavenumbers", "spectral_dx", "spectral_dxx", "solve_poisson"]
+__all__ = ["x_wavenumbers", "spectral_dx", "solve_poisson"]
 
 
 def x_wavenumbers(grid: ChannelGrid) -> np.ndarray:
@@ -71,11 +72,6 @@ def _derivative(lines: np.ndarray, axis: int, symbol: np.ndarray, order: int,
 def spectral_dx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     """First x-derivative by FFT; the Nyquist mode (nx is even) is dropped."""
     return _derivative(vals, 0, _x_symbol(grid, 1), 1, _workers(vals.size))
-
-
-def spectral_dxx(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
-    """Second x-derivative by FFT."""
-    return _derivative(vals, 0, _x_symbol(grid, 2), 2, _workers(vals.size))
 
 
 def _y_transforms(bc: str):

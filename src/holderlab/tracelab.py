@@ -35,7 +35,6 @@ __all__ = [
     "VERDICT_CONVERGES",
     "VERDICT_BOUNDED",
     "VERDICT_DIVERGES",
-    "eval_trace",
     "decompose_trace",
     "dyadic_quotients_boundary",
     "dyadic_quotients_interior",
@@ -105,13 +104,6 @@ class TestFunction:
                 out = out + self.sin_coeffs[m] * np.sin(m * math.pi * x)
         return out
 
-    def scaled(self, c: float) -> "TestFunction":
-        """Return c * theta; every trace diagnostic scales linearly."""
-        return TestFunction(
-            tuple(c * v for v in self.cos_coeffs),
-            tuple(c * v for v in self.sin_coeffs),
-        )
-
     @staticmethod
     def mean_one() -> "TestFunction":
         """The constant test function with unit integral."""
@@ -125,28 +117,11 @@ def _pair_coupling(theta: TestFunction, k1: int, k2: int) -> float:
     return 0.5 * (theta.moment(hi) + theta.moment(lo))
 
 
-def eval_trace(p: WeierstrassParams, theta: TestFunction, y: float) -> float:
-    """Pairing of u2(., y)^2 with theta, exact in coefficient space."""
-    total = 0.0
-    sins = [sinpi(2.0**k * y) for k in range(p.n_terms + 1)]
-    for k1 in range(p.n_terms + 1):
-        if sins[k1] == 0.0:
-            continue
-        for k2 in range(p.n_terms + 1):
-            if sins[k2] == 0.0:
-                continue
-            coupling = _pair_coupling(theta, k1, k2)
-            if coupling != 0.0:
-                total += (
-                    2.0 ** (-p.alpha * (k1 + k2)) * coupling * sins[k1] * sins[k2]
-                )
-    return total
-
-
 def decompose_trace(p: WeierstrassParams, theta: TestFunction, y: float):
-    """Split the trace pairing into (off-diagonal, doubled-frequency
-    diagonal, mean-paired diagonal) parts; the three sum back to
-    :func:`eval_trace` to rounding accuracy.
+    """The trace pairing of u2(., y)^2 with theta, exact in coefficient
+    space, split into (off-diagonal, doubled-frequency diagonal,
+    mean-paired diagonal) parts.  The three sum to the pairing over every
+    ordered mode pair (k1, k2) to rounding accuracy.
     """
     diag_mean = 0.0
     diag_doubled = 0.0

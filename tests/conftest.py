@@ -7,7 +7,6 @@ library code is checked against an independent route.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 
 import numpy as np
@@ -17,7 +16,8 @@ from scipy.linalg import solve_banded
 from holderlab import fields
 from holderlab.fields import ChannelField, ChannelGrid, c_alpha_norm
 from holderlab.pressure import solve_schauder_problem
-from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx
+from holderlab.spectral import solve_poisson, spectral_dx, x_wavenumbers
+from holderlab.trig import sinpi
 
 
 @contextlib.contextmanager
@@ -77,34 +77,19 @@ def brute_force_modulus(f: ChannelField, h: float) -> float:
     return best
 
 
-def field_csv_by_loops(field: ChannelField, path) -> None:
-    """Field dump written one cell at a time: component, then y, then x."""
-    xs, ys = field.grid.x, field.grid.y
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "component", "value"])
-        for c in range(field.components):
-            vals = field.values[c]
-            for j in range(field.grid.ny):
-                for i in range(field.grid.nx):
-                    w.writerow([f"{xs[i]:.17g}", f"{ys[j]:.17g}", c, f"{vals[i, j]:.17g}"])
-
-
-def read_field_csv(path) -> ChannelField:
-    """Rebuild a field from a ``write_field_csv`` dump: component-major,
-    then y outer, x inner.  Raises unless the coordinates are the nodes of
-    the channel grid with that many x and y values."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["x", "y", "component", "value"]:
-        raise ValueError(f"unexpected header {rows[0]}")
-    x, y, comp, vals = np.array(rows[1:], dtype=float).T
-    xs, ys = np.unique(x), np.unique(y)
-    grid = ChannelGrid(xs.size, ys.size)
-    if not (np.array_equal(xs, grid.x) and np.array_equal(ys, grid.y)):
-        raise ValueError("coordinates are not the nodes of the channel grid")
-    values = vals.reshape(int(comp.max()) + 1, ys.size, xs.size).transpose(0, 2, 1)
-    return ChannelField(grid, values)
+def trace_by_pair_sum(p, theta, y: float) -> float:
+    """Pairing of u2(., y)^2 with theta as the double sum over every
+    ordered mode pair (k1, k2): 2^(-alpha (k1 + k2)) sin(2^k1 pi y)
+    sin(2^k2 pi y) times the x-integral of cos(2^k1 pi x) cos(2^k2 pi x)
+    theta(x), which is half theta's moments at 2^k1 + 2^k2 and
+    |2^k1 - 2^k2|."""
+    total = 0.0
+    for k1 in range(p.n_terms + 1):
+        for k2 in range(p.n_terms + 1):
+            coupling = 0.5 * (theta.moment(2**k1 + 2**k2) + theta.moment(abs(2**k1 - 2**k2)))
+            total += (2.0 ** (-p.alpha * (k1 + k2)) * coupling
+                      * sinpi(2.0**k1 * y) * sinpi(2.0**k2 * y))
+    return total
 
 
 def normal_jacobian_by_point(patch, sigma1: float, sigma2: float) -> np.ndarray:
@@ -202,7 +187,7 @@ def banded_poisson(rhs: np.ndarray, grid: ChannelGrid, bc: str) -> np.ndarray:
 
 def trig_poly_by_meshgrid(poly, grid: ChannelGrid) -> np.ndarray:
     """A TrigPoly2D on the full meshgrid, one whole-grid product per term."""
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     return poly.evaluate(X, Y)
 
 
@@ -222,6 +207,14 @@ def schauder_ratios_by_public_calls(F11, F12, F22, alpha: float, resolutions) ->
 # The Neumann solve written as whole-array expressions, one new array per
 # operation.  The library accumulates the same operations in place, in the
 # same order, so the two agree bit for bit.
+
+
+def dxx_by_expression(vals: np.ndarray, grid: ChannelGrid) -> np.ndarray:
+    """Second x-derivative of an (nx, ny) array: numpy's rfft, times -k^2,
+    numpy's irfft."""
+    hat = np.fft.rfft(vals, axis=0)
+    hat *= -(x_wavenumbers(grid)[:, None] ** 2)
+    return np.fft.irfft(hat, n=grid.nx, axis=0)
 
 
 def dy_odd_by_expression(vals: np.ndarray, hy: float) -> np.ndarray:
@@ -252,10 +245,10 @@ def rhs_by_expression(u: ChannelField, phi_y: np.ndarray) -> np.ndarray:
     q11, q12, q22 = u1 * u1, u1 * u2, u2 * u2
     G = q22 * phi_y[None, :]
     return (
-        spectral_dxx(q11, grid)
+        dxx_by_expression(q11, grid)
         + 2.0 * spectral_dx(dy_odd_by_expression(q12, grid.hy), grid)
         + dyy_even_by_expression(q22, grid.hy)
-        - spectral_dxx(G, grid)
+        - dxx_by_expression(G, grid)
         - dyy_even_by_expression(G, grid.hy)
     )
 
@@ -269,7 +262,7 @@ def modified_pressure_by_expression(u: ChannelField, phi) -> dict:
     P = solve_poisson(rhs, grid, "neumann")
     rhs_scale = max(float(np.max(np.abs(rhs))), 1e-300)
     rhs_mean = _trapezoid_mean(rhs)
-    lap = spectral_dxx(P, grid) + dyy_even_by_expression(P, grid.hy)
+    lap = dxx_by_expression(P, grid) + dyy_even_by_expression(P, grid.hy)
     pde_residual = float(np.max(np.abs(lap + (rhs - rhs_mean)))) / rhs_scale
     P = P + (_trapezoid_mean(G) - _trapezoid_mean(P))
     neumann = max(

@@ -127,8 +127,16 @@ def test_pressure_solve_rejects_grids_too_coarse_for_the_norm(tmp_path, flow):
     (("schauder-check", "--resolutions", "6"), "nx must be a power of two"),
     (("mollify-report", "--epsilons", "0.3,0.1,0.05"), "does not fit"),
     (("mollify-report", "--epsilons", "nan,0.1,0.05"), "epsilon must be positive, got nan"),
-], ids=[f"argv{i}" for i in range(5)])
-def test_rejected_configuration_creates_no_out_dir(tmp_path, capsys, argv, message):
+    (("pressure-solve", "--ratio-alpha", "1.5"), "ratio_alpha must lie in [0, 1], got 1.5"),
+    (("pressure-solve", "--ratio-alpha", "nan"), "ratio_alpha must lie in [0, 1], got nan"),
+    (("pressure-solve", "--ratio-alpha", "-0.5"), "ratio_alpha must lie in [0, 1], got -0.5"),
+], ids=[f"argv{i}" for i in range(8)])
+def test_rejected_configuration_creates_no_out_dir(tmp_path, capsys, monkeypatch, argv,
+                                                   message):
+    def no_solve(*args):
+        raise AssertionError("a rejected configuration ran a pressure solve")
+
+    monkeypatch.setattr(cli, "solve_modified_pressure", no_solve)
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 2
     assert message in capsys.readouterr().err
@@ -186,6 +194,22 @@ def test_config_file_merging_and_precedence(tmp_path):
                "--out", str(out2)) == 0
     manifest = json.loads((out2 / "trace_blowup_boundary_manifest.json").read_text())
     assert manifest["params"]["alpha"] == 0.25
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("nx", 64.7, "nx must be an integer, got 64.7"),
+    ("nx", True, "nx must be an integer, got True"),
+    ("alpha", True, "alpha must be a number, got True"),
+    ("alpha", "0.25", "alpha must be a number, got '0.25'"),
+], ids=["int-float", "int-bool", "float-bool", "float-str"])
+def test_config_file_numbers_take_only_json_numbers(tmp_path, capsys, key, value, message):
+    # a config value takes what its flag takes: argparse refuses --nx 64.7
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nx": 32, "ny": 33, "n_terms_list": "2", key: value}))
+    out = tmp_path / "out"
+    assert run("weierstrass-scan", "--config", str(cfg), "--out", str(out)) == 2
+    assert f"error: config key {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -290,3 +314,41 @@ def test_output_digests_stops_when_no_holderlab_runs(tmp_path):
     assert run.returncode == 2
     assert run.stdout == ""
     assert "--version" in run.stderr
+
+
+# pins the child to one CPU, or leaves its mask, before holderlab is
+# imported (fields._CPUS is read at import); reports the CPUs the block
+# runner saw, then runs the command
+_PINNED_RUN = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from holderlab import cli, fields
+print(fields._CPUS, file=sys.stderr)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs affinity masks and two usable CPUs: on one, both runs are "
+                           "the same run")
+def test_one_cpu_and_every_cpu_write_the_same_bytes(tmp_path):
+    # both commands take the parallel paths at 512: the pressure solve's
+    # block passes and the sweep's stacked scans and whole-array FFTs
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cpus = {"one": "1", "all": str(len(os.sched_getaffinity(0)))}
+    for argv in (("pressure-solve", "--flow", "weierstrass", "--grids", "512"),
+                 ("schauder-check", "--seeds", "0", "--resolutions", "512")):
+        runs = {}
+        for mask in cpus:
+            out = tmp_path / mask / argv[0]
+            proc = subprocess.run([sys.executable, "-c", _PINNED_RUN, mask, *argv,
+                                   "--out", str(out)], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.stderr.split()[-1] == cpus[mask], proc.stderr
+            runs[mask] = (proc.returncode,
+                          {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert runs["one"][0] == 0
+        assert runs["one"] == runs["all"], argv

@@ -23,13 +23,17 @@ def test_every_exported_name_resolves(name):
 
 
 def test_import_loads_no_integrator_and_starts_no_thread():
-    # scipy.integrate loads with the first mollification, and the grid
-    # kernels' thread pool starts with the first large grid
+    # the grid kernels' thread pool starts with the first large grid, and
+    # no mollification needs scipy.integrate
     src = os.path.dirname(os.path.dirname(holderlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = ("import sys, threading, holderlab; "
-             "print('scipy.integrate' in sys.modules, threading.active_count())")
+             "print('scipy.integrate' in sys.modules, threading.active_count()); "
+             "u = holderlab.velocity_field(holderlab.WeierstrassParams(0.5, 4), "
+             "holderlab.ChannelGrid(32, 33)); "
+             "holderlab.mollification_report(u, 0.5, [0.2, 0.1, 0.05]); "
+             "print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.split() == ["False", "1"]
+    assert out.split() == ["False", "1", "False"]

@@ -1,12 +1,10 @@
-"""Grid, field container, CSV round-trip, and Hölder scan tests."""
+"""Grid, field container, and Hölder scan tests."""
 
 from __future__ import annotations
 
 import math
 import sys
-import tempfile
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +21,12 @@ from holderlab.fields import (
     estimate_holder_exponent,
     holder_quotient,
     modulus_of_continuity,
-    write_field_csv,
 )
 
 from conftest import (
     block_partition,
     brute_force_modulus,
     brute_force_seminorm,
-    field_csv_by_loops,
-    read_field_csv,
     roll_shift_max,
 )
 
@@ -75,41 +70,6 @@ def test_field_shape_checks_and_immutability():
         f.values[0, 0, 0] = 1.0
 
 
-def test_csv_round_trip(tmp_path):
-    g = ChannelGrid(8, 5)
-    rng = np.random.default_rng(7)
-    f = ChannelField(g, rng.standard_normal((2, 8, 5)))
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    back = read_field_csv(path)
-    # 17 significant digits round-trip doubles exactly
-    np.testing.assert_array_equal(back.values, f.values)
-    assert back.grid == g
-
-
-_CELL = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
-                  st.floats(allow_nan=True, allow_infinity=True))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    nx=st.sampled_from([4, 8]),
-    ny=st.integers(3, 6),
-    components=st.integers(1, 2),
-    data=st.data(),
-)
-def test_field_csv_matches_the_cell_by_cell_writer(nx, ny, components, data):
-    g = ChannelGrid(nx, ny)
-    cells = data.draw(st.lists(_CELL, min_size=components * nx * ny,
-                               max_size=components * nx * ny))
-    f = ChannelField(g, np.array(cells).reshape(components, nx, ny))
-    with tempfile.TemporaryDirectory() as tmp:
-        fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
-        write_field_csv(f, fast)
-        field_csv_by_loops(f, slow)
-        assert fast.read_bytes() == slow.read_bytes()
-
-
 _SAMPLED = {
     "full grid": lambda a, k, X, Y: a * np.sin(k * np.pi * X) * np.cos(np.pi * Y) + Y**2,
     "x only": lambda a, k, X, Y: a * np.cos(k * np.pi * X),
@@ -137,7 +97,7 @@ def test_from_function_on_broadcast_axes_matches_meshgrid_sampling(nx, ny, ampli
             return _SAMPLED[shape](amplitude, k, X, Y)
     with block_partition(8, cpus):
         got = ChannelField.from_function(grid, fn).values
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     want = np.reshape(np.array(fn(X, Y)), (-1, nx, ny))
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -310,7 +270,7 @@ def test_c_alpha_parts_combine_to_the_per_component_norms(nx, ny, components, ze
 def test_c_alpha_norm_of_zero_field_needs_no_scan():
     coarse = ChannelGrid(nx=8, ny=5)  # 4*max(hx, hy) = 1 exceeds 0.25
     assert c_alpha_norm(np.zeros((2, 8, 5)), coarse, 0.5) == 0.0
-    X, _ = coarse.meshgrid()
+    X, _ = np.meshgrid(coarse.x, coarse.y, indexing="ij")
     with pytest.raises(ValueError, match="h_max"):
         c_alpha_norm(np.sin(np.pi * X), coarse, 0.5)
 
@@ -455,7 +415,7 @@ def test_each_estimator_makes_one_scan(monkeypatch):
     monkeypatch.setattr(fields, "_shift_maxima", counting)
     f = _linear_in_y()
     grid = f.grid
-    X, _ = grid.meshgrid()
+    X, _ = np.meshgrid(grid.x, grid.y, indexing="ij")
     stack = np.stack([f.values[0], np.sin(np.pi * X)])
     for estimate in (
         lambda: modulus_of_continuity(f, 0.25),
@@ -508,7 +468,7 @@ def test_a_scan_weighs_nodes_times_shifts(monkeypatch, nx, ny, components, piece
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_estimators_reject_a_non_finite_node(bad):
     grid = ChannelGrid(64, 33)
-    X, _ = grid.meshgrid()
+    X, _ = np.meshgrid(grid.x, grid.y, indexing="ij")
     vals = np.sin(np.pi * X)
     vals[5, 7] = bad
     f = ChannelField(grid, vals)

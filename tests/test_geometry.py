@@ -24,7 +24,6 @@ from holderlab.geometry import (
     make_saddle_patch,
     make_surface_patch,
     metric,
-    normal,
     normal_laplacian_part,
     squared_radius_field,
     tangential_laplacian,
@@ -54,7 +53,6 @@ def test_flat_patch_metric_is_trivial():
     assert np.array_equal(md.jacobian, np.diag([1.0, 1.0, -1.0]))
     assert np.array_equal(md.a_inv, np.eye(3))
     assert md.b == 1.0
-    assert np.array_equal(normal(flat, 0.3, -0.2), np.array([0.0, 0.0, -1.0]))
 
 
 def test_chart_position_paraboloid():
@@ -72,16 +70,18 @@ def test_normal_is_unit_and_points_down():
     for build in PATCH_BUILDERS.values():
         patch = build()
         for pt in sample_points(patch, 10, seed=3):
-            n = normal(patch, pt.sigma1, pt.sigma2)
+            n = metric(patch, pt).jacobian[:, 2]
             assert abs(n @ n - 1.0) < 1e-14
             assert n[2] < 0.0
 
 
 def test_normal_column_of_jacobian():
+    # the depth column is the inward unit normal (d1 a, d2 a, -1)/sqrt(1 + |grad a|^2)
     patch = make_saddle_patch()
     pt = TubularPoint(0.4, 0.3, 0.05)
-    md = metric(patch, pt)
-    assert np.array_equal(md.jacobian[:, 2], normal(patch, 0.4, 0.3))
+    g = np.asarray(patch.grad(0.4, 0.3))
+    n = np.array([g[0], g[1], -1.0]) / math.sqrt(1.0 + g[0] * g[0] + g[1] * g[1])
+    assert np.array_equal(metric(patch, pt).jacobian[:, 2], n)
 
 
 def test_chart_depth_derivative_is_normal():
@@ -91,7 +91,7 @@ def test_chart_depth_derivative_is_normal():
     x_hi = chart(patch, TubularPoint(s1, s2, 0.15))
     x_lo = chart(patch, TubularPoint(s1, s2, 0.05))
     fd = (x_hi - x_lo) / (2 * h)
-    assert np.max(np.abs(fd - normal(patch, s1, s2))) < 1e-13
+    assert np.max(np.abs(fd - metric(patch, TubularPoint(s1, s2, 0.1)).jacobian[:, 2])) < 1e-13
 
 
 @pytest.mark.parametrize("name", sorted(PATCH_BUILDERS))
@@ -341,7 +341,6 @@ def test_point_sets_match_the_per_point_oracle(name, data):
         "jacobian": lambda pt: metric(patch, pt).jacobian,
         "a_inv": lambda pt: metric(patch, pt).a_inv,
         "b": lambda pt: metric(patch, pt).b,
-        "normal": lambda pt: normal(patch, pt.sigma1, pt.sigma2),
         "gradient": lambda pt: gradient_curvilinear(radius, patch, pt),
         "divergence": lambda pt: divergence_curvilinear(swirl, patch, pt),
         "laplacian": lambda pt: laplacian_curvilinear(radius, patch, pt),

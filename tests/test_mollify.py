@@ -41,6 +41,11 @@ def test_standard_bump_has_unit_mass():
     assert prof(0.0) > prof(0.9) > 0.0
 
 
+def test_bump_scale_is_the_quadrature_of_the_bump_bitwise():
+    integral, _ = quad(lambda r: 2.0 * math.pi * r * math.exp(-1.0 / (1.0 - r * r)), 0.0, 1.0)
+    assert 1.0 / integral == mollify._BUMP_SCALE
+
+
 def test_mollifier_validation():
     for bad in (0.0, -0.1):
         with pytest.raises(ValueError, match="positive"):
@@ -171,7 +176,7 @@ def test_pipeline_exactness_on_weierstrass():
 
 def test_smooth_mode_error_is_second_order_in_epsilon():
     grid = ChannelGrid(128, 129)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     u = ChannelField(
         grid,
         np.stack(

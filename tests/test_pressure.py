@@ -18,12 +18,13 @@ from holderlab.pressure import (
     solve_schauder_problem,
     weak_normal_trace,
 )
-from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx
+from holderlab.spectral import solve_poisson, spectral_dx
 from holderlab.tracelab import TestFunction
 from holderlab.weierstrass import WeierstrassParams, velocity_field
 
 from conftest import (
     block_partition,
+    dxx_by_expression,
     dy_odd_by_expression,
     dyy_even_by_expression,
     modified_pressure_by_expression,
@@ -36,13 +37,13 @@ THETA = TestFunction.mean_one()
 
 
 def single_mode_flow(grid):
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     return ChannelField(grid, np.stack([-np.sin(np.pi * X) * np.cos(np.pi * Y),
                                         np.cos(np.pi * X) * np.sin(np.pi * Y)]))
 
 
 def single_mode_pressure(grid):
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     return 0.25 * (np.cos(2.0 * np.pi * X) + np.cos(2.0 * np.pi * Y))
 
 
@@ -284,7 +285,7 @@ def test_schauder_single_mode_oracle():
     for n in (64, 128, 256):
         grid = ChannelGrid(nx=n, ny=n // 2 + 1)
         v = solve_schauder_problem(F11, zero, zero, grid)
-        X, Y = grid.meshgrid()
+        X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
         exact = 0.8 * np.cos(2.0 * np.pi * X) * np.sin(np.pi * Y)
         errs[n] = float(np.max(np.abs(v.values[0] - exact)))
     assert errs[64] < 1.5e-4
@@ -451,7 +452,7 @@ def test_trig_poly_validation_and_sampling():
         TrigPoly2D(terms=((1.0, 1.5, 1, "cc"),))
     poly = TrigPoly2D(terms=((0.7, 2, 3, "sc"), (-0.2, 0, 1, "cs")))
     grid = ChannelGrid(nx=16, ny=9)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     assert poly.sample(grid).tobytes() == poly.evaluate(X, Y).tobytes()
 
 
@@ -540,7 +541,7 @@ def test_schauder_solve_matches_the_expression_oracle_bitwise(log2_nx, ny, seed,
     F11, F12, F22 = random_symmetric_trig_field(seed)
     f11, f12, f22 = (F.sample(grid) for F in (F11, F12, F22))
     rhs = (
-        spectral_dxx(f11, grid)
+        dxx_by_expression(f11, grid)
         + 2.0 * spectral_dx(dy_odd_by_expression(f12, grid.hy), grid)
         + dyy_even_by_expression(f22, grid.hy)
     )

@@ -20,9 +20,15 @@ from holderlab.pressure import (
     solve_modified_pressure,
     solve_schauder_problem,
 )
-from holderlab.spectral import solve_poisson, spectral_dx, spectral_dxx, x_wavenumbers
+from holderlab.spectral import solve_poisson, spectral_dx, x_wavenumbers
 
-from conftest import banded_poisson, block_partition
+from conftest import banded_poisson, block_partition, dxx_by_expression
+
+
+def _dxx(vals, grid):
+    """The order-2 x-derivative that the pressure solves take."""
+    return spectral._derivative(vals, 0, spectral._x_symbol(grid, 2), 2,
+                                fields._workers(vals.size))
 
 
 def test_x_derivatives_of_a_trig_polynomial():
@@ -32,7 +38,7 @@ def test_x_derivatives_of_a_trig_polynomial():
     df = 3 * math.pi * np.cos(3 * math.pi * x) - 3.5 * math.pi * np.sin(7 * math.pi * x)
     d2f = -9 * math.pi**2 * np.sin(3 * math.pi * x) - 24.5 * math.pi**2 * np.cos(7 * math.pi * x)
     assert np.max(np.abs(spectral_dx(f, grid) - df)) < 1e-12
-    assert np.max(np.abs(spectral_dxx(f, grid) - d2f)) < 1e-10
+    assert np.max(np.abs(_dxx(f, grid) - d2f)) < 1e-10
     assert x_wavenumbers(grid)[-1] == pytest.approx(16 * math.pi)
 
 
@@ -41,7 +47,7 @@ def test_dx_drops_the_nyquist_mode():
     alternating = np.outer((-1.0) ** np.arange(grid.nx), np.ones(grid.ny))
     assert np.max(np.abs(spectral_dx(alternating, grid))) < 1e-12
     nyquist = x_wavenumbers(grid)[-1]
-    assert np.allclose(spectral_dxx(alternating, grid), -nyquist**2 * alternating)
+    assert np.allclose(_dxx(alternating, grid), -nyquist**2 * alternating)
 
 
 def _minus_laplacian(u, grid):
@@ -51,7 +57,7 @@ def _minus_laplacian(u, grid):
     dyy[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / hy**2
     dyy[:, 0] = 2.0 * (u[:, 1] - u[:, 0]) / hy**2
     dyy[:, -1] = 2.0 * (u[:, -2] - u[:, -1]) / hy**2
-    return -(spectral_dxx(u, grid) + dyy)
+    return -(dxx_by_expression(u, grid) + dyy)
 
 
 def _trapezoid_mean(vals):
@@ -115,12 +121,6 @@ def _whole_array_dx(vals, grid):
     return np.fft.irfft(hat, n=grid.nx, axis=0)
 
 
-def _whole_array_dxx(vals, grid):
-    hat = np.fft.rfft(vals, axis=0)
-    hat *= -(x_wavenumbers(grid)[:, None] ** 2)
-    return np.fft.irfft(hat, n=grid.nx, axis=0)
-
-
 def _whole_array_poisson(rhs, grid, bc):
     """solve_poisson's steps with numpy's x-FFTs and one-worker y-transforms."""
     rows, fwd, inv, m0 = ((slice(1, -1), scipy.fft.dst, scipy.fft.idst, 1) if bc == "dirichlet"
@@ -149,9 +149,9 @@ def test_every_worker_count_matches_whole_array_numpy_ffts_bitwise(log2_nx, ny, 
     grid = ChannelGrid(nx=2**log2_nx, ny=ny)
     vals = np.random.default_rng(seed).standard_normal((grid.nx, ny))
     with block_partition(8, cpus):
-        got = [spectral_dx(vals, grid), spectral_dxx(vals, grid)] + [
+        got = [spectral_dx(vals, grid), _dxx(vals, grid)] + [
             solve_poisson(vals, grid, bc) for bc in ("dirichlet", "neumann")]
-    want = [_whole_array_dx(vals, grid), _whole_array_dxx(vals, grid)] + [
+    want = [_whole_array_dx(vals, grid), dxx_by_expression(vals, grid)] + [
         _whole_array_poisson(vals, grid, bc) for bc in ("dirichlet", "neumann")]
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
@@ -212,7 +212,6 @@ def test_only_the_calling_thread_takes_more_than_one_fft_worker(monkeypatch):
     F11, F12, F22 = random_symmetric_trig_field(0)
     ops = {
         "dx": spectral_dx,
-        "dxx": spectral_dxx,
         "dirichlet": lambda v, g: solve_poisson(v, g, "dirichlet"),
         "neumann": lambda v, g: solve_poisson(v, g, "neumann"),
         "modified pressure": lambda v, g: solve_modified_pressure(
@@ -248,6 +247,6 @@ def test_only_the_calling_thread_takes_more_than_one_fft_worker(monkeypatch):
                     assert nbytes <= max(block_bytes, nbytes // shape[0])
             for names in (("dct", "dst"), ("idct", "idst")):
                 rows = sum(shape[0] for fft, _, shape, *_ in seen if fft in names)
-                assert rows == (0 if name in ("dx", "dxx") else grid.nx // 2 + 1)
+                assert rows == (0 if name == "dx" else grid.nx // 2 + 1)
     # the rule was seen both ways, and pool threads ran some of the calls
     assert workers_seen == {(True, 1), (True, 3), (False, 1)}

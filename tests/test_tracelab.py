@@ -18,12 +18,13 @@ from holderlab.tracelab import (
     decompose_trace,
     dyadic_quotients_boundary,
     dyadic_quotients_interior,
-    eval_trace,
     interior_lower_bound,
     resonant_lower_bound,
 )
 from holderlab.trig import sinpi
 from holderlab.weierstrass import WeierstrassParams, eval_velocity
+
+from conftest import trace_by_pair_sum
 
 
 def displayed_wall_quotient(alpha: float, n: int) -> float:
@@ -54,24 +55,27 @@ def test_test_function_basics():
     xs = np.linspace(0.0, 2.0, 9)
     expect = 0.5 + 0.25 * np.cos(2 * math.pi * xs) - 1.5 * np.cos(11 * math.pi * xs)
     np.testing.assert_allclose(rich.evaluate(xs), expect, rtol=0, atol=1e-15)
-    doubled = rich.scaled(2.0)
-    assert doubled.mean == 2.0 and doubled.moment(2) == 0.5
     with pytest.raises(ValueError):
         TestFunction(())
     with pytest.raises(ValueError):
         TestFunction((0.5,), (0.0, 1.0))
 
 
+def trace(p, theta, y):
+    """The trace pairing as the sum of decompose_trace's three parts."""
+    return sum(decompose_trace(p, theta, y))
+
+
 def test_eval_trace_vanishes_on_walls():
     p = WeierstrassParams(alpha=0.5, n_terms=12)
     theta = TestFunction((0.5, 0.0, 0.0, 1.0))
-    assert eval_trace(p, theta, 0.0) == 0.0
-    assert eval_trace(p, theta, 1.0) == 0.0
+    assert trace(p, theta, 0.0) == 0.0
+    assert trace(p, theta, 1.0) == 0.0
 
 
 def test_eval_trace_single_term_value():
     p = WeierstrassParams(alpha=0.5, n_terms=0)
-    assert eval_trace(p, TestFunction.mean_one(), 0.5) == 0.5
+    assert trace(p, TestFunction.mean_one(), 0.5) == 0.5
 
 
 def test_eval_trace_unreachable_mode_gives_zero():
@@ -80,7 +84,7 @@ def test_eval_trace_unreachable_mode_gives_zero():
     theta = TestFunction((0.0,) * 11 + (1.0,))
     p = WeierstrassParams(alpha=0.5, n_terms=12)
     for y in np.linspace(0.0, 1.0, 17):
-        assert eval_trace(p, theta, float(y)) == 0.0
+        assert trace(p, theta, float(y)) == 0.0
 
 
 def test_eval_trace_reachable_mode_three():
@@ -93,7 +97,7 @@ def test_eval_trace_reachable_mode_three():
         expect = 2.0**-alpha * math.sin(math.pi * y) * math.sin(2 * math.pi * y) + (
             2.0 ** (-2 * alpha) * math.sin(math.pi * y) * math.sin(4 * math.pi * y)
         )
-        assert eval_trace(p, theta, y) == pytest.approx(expect, rel=1e-13)
+        assert trace(p, theta, y) == pytest.approx(expect, rel=1e-13)
 
 
 def test_eval_trace_matches_quadrature():
@@ -103,7 +107,7 @@ def test_eval_trace_matches_quadrature():
     theta = TestFunction(tuple(cc), tuple(sc))
     p = WeierstrassParams(alpha=0.45, n_terms=5)
     for y in (0.125, 0.37, 0.5, 0.77):
-        exact = eval_trace(p, theta, y)
+        exact = trace(p, theta, y)
         quad = quadrature_trace(p, theta, y)
         assert exact == pytest.approx(quad, rel=1e-12, abs=1e-13)
 
@@ -114,7 +118,7 @@ def test_decompose_identity_and_exact_zeros():
     p = WeierstrassParams(alpha=0.3, n_terms=40)
     for y in (0.09, 0.25, 0.333, 0.5, 0.9):
         off, dbl, mean_part = decompose_trace(p, theta, y)
-        total = eval_trace(p, theta, y)
+        total = trace_by_pair_sum(p, theta, y)
         assert off + dbl + mean_part == pytest.approx(total, rel=1e-12, abs=1e-15)
     assert decompose_trace(p, theta, 0.0) == (0.0, 0.0, 0.0)
     mean_zero = TestFunction((0.0, 0.0, 1.0))
@@ -186,7 +190,7 @@ def test_boundary_quotients_scale_linearly_in_theta():
     theta = TestFunction((0.5, 0.0, 0.3, 0.0, 0.0, -0.2))
     p = WeierstrassParams(0.4, 20)
     rep1 = dyadic_quotients_boundary(p, theta, 12)
-    rep2 = dyadic_quotients_boundary(p, theta.scaled(2.0), 12)
+    rep2 = dyadic_quotients_boundary(p, TestFunction((1.0, 0.0, 0.6, 0.0, 0.0, -0.4)), 12)
     # doubling theta doubles every quotient exactly (power-of-two scaling)
     assert rep2.quotients == tuple(2.0 * q for q in rep1.quotients)
     # column contents.  quotient_RR pairs each diagonal k1 = k2 = k with

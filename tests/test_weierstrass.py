@@ -83,7 +83,7 @@ def test_grid_samplers_match_pointwise_evaluation_bitwise(log2_nx, ny, alpha, n_
     # full meshgrid: same samples, bit for bit
     g = ChannelGrid(2**log2_nx, ny)
     p = WeierstrassParams(alpha=alpha, n_terms=n_terms)
-    X, Y = g.meshgrid()
+    X, Y = np.meshgrid(g.x, g.y, indexing="ij")
     with block_partition(block_bytes, cpus):
         u = velocity_field(p, g).values
         psi = stream_field(p, g).values[0]
