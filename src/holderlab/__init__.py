@@ -37,7 +37,12 @@ from .tracelab import (
     dyadic_quotients_boundary,
     dyadic_quotients_interior,
 )
-from .weierstrass import WeierstrassParams, stream_field, velocity_field
+from .weierstrass import (
+    WeierstrassParams,
+    normal_velocity_field,
+    stream_field,
+    velocity_field,
+)
 
 __version__ = "0.1.0"
 
@@ -62,6 +67,7 @@ __all__ = [
     "make_surface_patch",
     "modulus_of_continuity",
     "mollification_report",
+    "normal_velocity_field",
     "solve_modified_pressure",
     "stream_field",
     "velocity_field",

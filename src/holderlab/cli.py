@@ -10,8 +10,10 @@ from the config, no timestamps in any output.  Every file goes through
 Exit codes: 0 success, 1 invariant-suite failure, 2 invalid
 configuration.  Parameters may come from flags or from a JSON config
 file (``--config``) with identical keys; explicit flags win.  Unknown
-config keys are rejected, and a key whose flag takes a number takes
-only a JSON number: an integer where the flag takes an integer.  Each
+config keys are rejected, and a config value takes only the JSON type of
+what its flag takes: a number where the flag takes a number (an integer
+where it takes an integer), a string where it takes a word, and for a
+list key a comma-separated string or a JSON list of such numbers.  Each
 subcommand and its keys are declared once, in :data:`COMMANDS`.
 """
 
@@ -63,16 +65,39 @@ class ConfigError(Exception):
 # the key's default (a JSON true or false is a bool, so neither passes)
 _NUMBER_KEYS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
+# the type of each item of a list key; its flag takes a comma-separated
+# string, and a config file that string or a JSON list of the items
+_LIST_KEYS = {"n_terms_list": int, "epsilons": float, "grids": int, "seeds": int,
+              "resolutions": int}
 
-def _parse_list(value, kind) -> list:
-    """A comma-separated string, or a JSON list, of ``kind`` values."""
+
+def _parse_list(params: dict, key: str) -> list:
+    """The items of list key ``key``: a comma-separated string, or a JSON
+    list that :func:`_merge_config` has checked."""
+    kind, value = _LIST_KEYS[key], params[key]
+    if isinstance(value, list):
+        return [kind(v) for v in value]
     try:
-        if isinstance(value, (list, tuple)):
-            return [kind(v) for v in value]
-        return [kind(tok) for tok in str(value).split(",") if tok != ""]
+        return [kind(tok) for tok in value.split(",") if tok != ""]
     except ValueError as exc:
         raise ConfigError(
             f"expected a comma-separated {kind.__name__} list, got {value!r}") from exc
+
+
+def _check_config_value(key: str, default, value) -> None:
+    """Reject a config file's value whose JSON type the key does not take."""
+    if key in _LIST_KEYS:
+        kinds, what = _NUMBER_KEYS[_LIST_KEYS[key]]
+        ok = type(value) is str or (type(value) is list
+                                    and all(type(v) in kinds for v in value))
+        what = f"a comma-separated string or a JSON list, each item {what}"
+    elif type(default) is str:
+        ok, what = type(value) is str, "a string"
+    else:
+        kinds, what = _NUMBER_KEYS[type(default)]
+        ok = type(value) in kinds
+    if not ok:
+        raise ConfigError(f"config key {key} must be {what}, got {value!r}")
 
 
 def _make_theta(spec: str) -> TestFunction:
@@ -102,11 +127,8 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
         if flag_value is not None:
             params[key] = flag_value
         elif key in file_params:
-            value = file_params[key]
-            kinds, what = _NUMBER_KEYS.get(type(default), (None, None))
-            if kinds and type(value) not in kinds:
-                raise ConfigError(f"config key {key} must be {what}, got {value!r}")
-            params[key] = value
+            _check_config_value(key, default, file_params[key])
+            params[key] = file_params[key]
         else:
             params[key] = default
     return params
@@ -127,7 +149,7 @@ def _write_manifest(out_dir: Path, experiment: str, params: dict,
 
 
 def cmd_weierstrass_scan(params: dict, out: Path) -> int:
-    terms = _parse_list(params["n_terms_list"], int)
+    terms = _parse_list(params, "n_terms_list")
     grid = ChannelGrid(nx=int(params["nx"]), ny=int(params["ny"]))
     rows = []
     for n_terms in terms:
@@ -215,7 +237,7 @@ def cmd_geometry_verify(params: dict, out: Path) -> int:
 
 
 def cmd_mollify_report(params: dict, out: Path) -> int:
-    eps = _parse_list(params["epsilons"], float)
+    eps = _parse_list(params, "epsilons")
     grid = ChannelGrid(nx=int(params["nx"]), ny=int(params["ny"]))
     u = velocity_field(
         WeierstrassParams(alpha=float(params["alpha"]), n_terms=int(params["n_terms"])),
@@ -258,7 +280,7 @@ def _pressure_flow(flow: str, alpha: float, n_terms: int):
 
 
 def cmd_pressure_solve(params: dict, out: Path) -> int:
-    grids = _parse_list(params["grids"], int)
+    grids = _parse_list(params, "grids")
     if not grids:
         raise ConfigError("grids must name at least one resolution")
     channel_grids = [ChannelGrid(nx=int(n), ny=int(n) + 1) for n in grids]
@@ -311,8 +333,8 @@ def cmd_pressure_solve(params: dict, out: Path) -> int:
 
 
 def cmd_schauder_check(params: dict, out: Path) -> int:
-    seeds = _parse_list(params["seeds"], int)
-    resolutions = _parse_list(params["resolutions"], int)
+    seeds = _parse_list(params, "seeds")
+    resolutions = _parse_list(params, "resolutions")
     if not seeds:
         raise ConfigError("seeds must name at least one seed")
     if not resolutions:

@@ -14,6 +14,10 @@ exactly, and u lies in C^(0,alpha) uniformly in the truncation.  All
 trigonometric arguments are formed as 2**k * coordinate and reduced
 dyadically (see :mod:`holderlab.trig`), so samples at dyadic points are
 exact.
+
+:func:`velocity_field` and :func:`stream_field` sample the series on a
+grid; :func:`normal_velocity_field` samples the wall-normal component u2
+alone, for checks that look at nothing else.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "eval_velocity",
     "eval_stream",
     "velocity_field",
+    "normal_velocity_field",
     "stream_field",
     "truncation_error_bound",
     "holder_constant_bound",
@@ -125,6 +130,19 @@ def velocity_field(p: WeierstrassParams, grid: ChannelGrid) -> ChannelField:
     evaluated on the 1-D axes and broadcast into the grid.
     """
     return ChannelField._adopt(grid, eval_velocity(p, grid.x[:, None], grid.y[None, :]))
+
+
+def normal_velocity_field(p: WeierstrassParams, grid: ChannelGrid) -> ChannelField:
+    """Sample u2 alone on a grid as a one-component field.
+
+    It adds the u2 products of :func:`velocity_field` in the same order, so
+    its values are bitwise ``velocity_field(p, grid).values[1]``, without
+    sampling u1.
+    """
+    products = _velocity_terms(p, grid.x[:, None], grid.y[None, :])
+    u2 = np.zeros((1, grid.nx, grid.ny))
+    _sum_products(u2, [(0, a, b, scale) for c, a, b, scale in products if c == 1])
+    return ChannelField._adopt(grid, u2)
 
 
 def stream_field(p: WeierstrassParams, grid: ChannelGrid) -> ChannelField:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -212,6 +213,59 @@ def test_config_file_numbers_take_only_json_numbers(tmp_path, capsys, key, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("weierstrass-scan", "n_terms_list", 2,
+     "n_terms_list must be a comma-separated string or a JSON list, each item an integer, "
+     "got 2"),
+    ("pressure-solve", "grids", [64, 128.7], "grids must be a comma-separated string or a "
+     "JSON list, each item an integer, got [64, 128.7]"),
+    ("pressure-solve", "grids", [True], "each item an integer, got [True]"),
+    ("schauder-check", "seeds", {"0": 1}, "each item an integer, got {'0': 1}"),
+    ("mollify-report", "epsilons", [0.1, "0.05"], "each item a number, got [0.1, '0.05']"),
+    ("mollify-report", "epsilons", [0.1, False], "each item a number, got [0.1, False]"),
+    ("mollify-report", "epsilons", 0.1, "each item a number, got 0.1"),
+    ("trace-blowup", "theta", 5, "theta must be a string, got 5"),
+    ("trace-blowup", "mode", ["boundary"], "mode must be a string, got ['boundary']"),
+    ("geometry-verify", "patch", None, "patch must be a string, got None"),
+    ("pressure-solve", "flow", 1, "flow must be a string, got 1"),
+], ids=["scalar-list", "float-item", "bool-item", "object-list", "str-item",
+        "bool-float-item", "scalar-float-list", "int-theta", "list-mode", "null-patch",
+        "int-flow"])
+def test_config_file_values_take_only_their_json_type(tmp_path, capsys, monkeypatch, command,
+                                                      key, value, message):
+    # a word takes only a JSON string, a list a string or a JSON list of its
+    # numbers; nothing runs and nothing is written
+    monkeypatch.setattr(cli, "COMMANDS", {
+        name: (lambda *args: pytest.fail("a rejected configuration ran"), *rest)
+        for name, (_, *rest) in cli.COMMANDS.items()})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: config key {key} must be " in err and message in err
+    assert not out.exists()
+
+
+def test_config_file_lists_take_json_lists_of_their_numbers(tmp_path):
+    # a JSON list runs as its comma-separated string does, and the manifest
+    # echoes the list
+    out = {}
+    for name, terms in (("string", "2,3"), ("list", [2, 3])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"nx": 32, "ny": 33, "n_terms_list": terms}))
+        out[name] = tmp_path / name
+        assert run("weierstrass-scan", "--config", str(cfg), "--out", str(out[name])) == 0
+    csv_name = "weierstrass_scan.csv"
+    assert (out["list"] / csv_name).read_bytes() == (out["string"] / csv_name).read_bytes()
+    manifest = json.loads((out["list"] / "weierstrass_scan_manifest.json").read_text())
+    assert manifest["params"]["n_terms_list"] == [2, 3]
+    # a float list takes integer items too
+    cli._check_config_value("epsilons", "0.1", [1, 0.5])
+    assert set(cli._LIST_KEYS) <= {key for *_, options in cli.COMMANDS.values()
+                                   for key in options}
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.5, "bogus": 1}))
@@ -314,6 +368,42 @@ def test_output_digests_stops_when_no_holderlab_runs(tmp_path):
     assert run.returncode == 2
     assert run.stdout == ""
     assert "--version" in run.stderr
+
+
+# a stand-in cli that writes the size of its affinity mask, as seen when
+# holderlab is imported, into its --out directory
+_MASK_CLI = """
+import os, sys
+from pathlib import Path
+CPUS = len(os.sched_getaffinity(0))
+if sys.argv[1:] != ["--version"]:
+    out = Path(sys.argv[sys.argv.index("--out") + 1])
+    out.mkdir(parents=True)
+    (out / "cpus.txt").write_text(str(CPUS))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs affinity masks")
+def test_output_digests_pins_every_command_to_the_first_cpus(tmp_path):
+    fake = tmp_path / "holderlab"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text(_MASK_CLI)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    mask = len(os.sched_getaffinity(0))
+    for cpus, seen in ((["--cpus", "1"], 1), ([], mask)):
+        run = subprocess.run([sys.executable, str(_DIGESTS), *cpus], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        exits = [line for line in lines if line.startswith("exit ")]
+        digests = [line.split()[0] for line in lines if line not in exits]
+        assert exits and all(line.startswith("exit 0 ") for line in exits)
+        assert digests == [hashlib.sha256(str(seen).encode()).hexdigest()] * len(exits)
+    for bad in ("0", str(mask + 1)):
+        run = subprocess.run([sys.executable, str(_DIGESTS), "--cpus", bad], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2 and run.stdout == ""
 
 
 # pins the child to one CPU, or leaves its mask, before holderlab is

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holderlab import fields
+from holderlab import acceptance, fields
 from holderlab.fields import ChannelField, ChannelGrid, holder_quotient
 from holderlab.mollify import (
     Mollifier,
@@ -24,7 +24,12 @@ from holderlab.mollify import (
     velocity_from_stream,
 )
 from holderlab.pressure import CutoffProfile, solve_modified_pressure
-from holderlab.weierstrass import WeierstrassParams, stream_field, velocity_field
+from holderlab.weierstrass import (
+    WeierstrassParams,
+    normal_velocity_field,
+    stream_field,
+    velocity_field,
+)
 
 GRID = ChannelGrid(16, 17)
 FLOW = WeierstrassParams(alpha=0.5, n_terms=4)
@@ -97,10 +102,9 @@ def test_every_library_built_field_is_read_only():
             f.values[0, 0, 0] = 1.0
 
 
-def _traced_peak_arrays(grid, fn, *args) -> float:
+def _traced_peak(grid, fn, *args) -> float:
     """Peak traced allocation of one call above what was live before it,
     in grid arrays of ``grid``."""
-    fn(*args)  # first call: module-level caches are not the call's cost
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -110,6 +114,12 @@ def _traced_peak_arrays(grid, fn, *args) -> float:
     finally:
         tracemalloc.stop()
     return (peak - before) / (grid.nx * grid.ny * 8)
+
+
+def _traced_peak_arrays(grid, fn, *args) -> float:
+    """The same, of a second call."""
+    fn(*args)  # first call: module-level caches are not the call's cost
+    return _traced_peak(grid, fn, *args)
 
 
 @pytest.fixture
@@ -122,6 +132,19 @@ def two_pieces(monkeypatch):
 def test_velocity_sampling_peak_memory(two_pieces):
     # the result (2 arrays) and one block of scratch per piece
     assert _traced_peak_arrays(WIDE, velocity_field, WeierstrassParams(0.25, 8), WIDE) <= 2.25
+
+
+def test_normal_velocity_sampling_peak_memory(two_pieces):
+    # the result (1 array) and one block of scratch per piece
+    assert _traced_peak_arrays(WIDE, normal_velocity_field, WeierstrassParams(0.25, 8),
+                               WIDE) <= 1.25
+
+
+def test_holder_constant_criterion_peak_memory():
+    # criterion 4 holds one fine u2 at a time, and one scan's scratch: two
+    # u2 of 2048x2049, or a velocity, would be 2 arrays or more
+    fine = ChannelGrid(2048, 2049)
+    assert _traced_peak(fine, acceptance.holder_constant) < 1.25
 
 
 def test_stream_sampling_peak_memory(two_pieces):

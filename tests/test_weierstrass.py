@@ -20,6 +20,7 @@ from holderlab.weierstrass import (
     eval_velocity,
     field_divergence_residual,
     holder_constant_bound,
+    normal_velocity_field,
     stream_field,
     truncation_error_bound,
     velocity_field,
@@ -80,23 +81,44 @@ def test_grid_samplers_match_pointwise_evaluation_bitwise(log2_nx, ny, alpha, n_
                                                          block_bytes, cpus):
     # the grid samplers (axes broadcast, added in x-row blocks over one to
     # three uneven pieces) against the pointwise series evaluated on the
-    # full meshgrid: same samples, bit for bit
+    # full meshgrid, and u2 alone against u2 of the velocity: same samples,
+    # bit for bit
     g = ChannelGrid(2**log2_nx, ny)
     p = WeierstrassParams(alpha=alpha, n_terms=n_terms)
     X, Y = np.meshgrid(g.x, g.y, indexing="ij")
     with block_partition(block_bytes, cpus):
         u = velocity_field(p, g).values
+        u2 = normal_velocity_field(p, g).values
         psi = stream_field(p, g).values[0]
     assert u.tobytes() == np.stack(eval_velocity(p, X, Y)).tobytes()
+    assert u2.shape == (1, g.nx, g.ny) and u2[0].tobytes() == u[1].tobytes()
     assert psi.tobytes() == eval_stream(p, X, Y).tobytes()
+
+
+@pytest.mark.parametrize("shape, n_terms, pieces", [
+    ((128, 129), 3, (1, 1)),
+    ((256, 257), 1, (1, 2)),
+    ((512, 513), 0, (2, 2)),
+], ids=["both-whole", "u2-whole", "both-in-pieces"])
+def test_normal_velocity_matches_on_both_sides_of_the_parallel_threshold(monkeypatch, shape,
+                                                                         n_terms, pieces):
+    # at the package's own block size and threshold, on two CPUs; the work,
+    # nodes times products, gives the pieces of (u2 alone, the velocity)
+    monkeypatch.setattr(fields, "_CPUS", 2)
+    g = ChannelGrid(*shape)
+    p = WeierstrassParams(alpha=0.37, n_terms=n_terms)
+    work = g.nx * g.ny * (n_terms + 1)
+    assert (fields._workers(work), fields._workers(2 * work)) == pieces
+    u2 = normal_velocity_field(p, g).values
+    assert u2[0].tobytes() == velocity_field(p, g).values[1].tobytes()
 
 
 def test_package_functions_stay_on_the_calling_thread(monkeypatch):
     # the product-sum kernel's blocks run numpy only: for each grid sampler
-    # (the lacunary velocity and stream, the trig polynomial, the mollifier)
-    # every traced package function runs on the caller's thread while the
-    # pool runs blocks too, and velocity_field evaluates the series once on
-    # the whole grid
+    # (the lacunary velocity, its u2 alone and stream, the trig polynomial,
+    # the mollifier) every traced package function runs on the caller's
+    # thread while the pool runs blocks too, and velocity_field evaluates
+    # the series once on the whole grid
     grid = ChannelGrid(512, 513)
     assert grid.nx * grid.ny >= fields._PARALLEL_NODES
     monkeypatch.setattr(fields, "_CPUS", 2)
@@ -133,6 +155,8 @@ def test_package_functions_stay_on_the_calling_thread(monkeypatch):
     poly = TrigPoly2D(terms=((0.5, 1, 2, "cs"), (-1.25, 3, 0, "sc")))
     sampler.append("velocity")
     velocity_field(p, grid)
+    sampler.append("normal velocity")
+    normal_velocity_field(p, grid)
     sampler.append("stream")
     psi = stream_field(p, grid)
     sampler.append("trig")

@@ -20,13 +20,24 @@ and exit codes agree:
 
     PYTHONPATH=src python tools/output_digests.py > after.txt
 
+With ``--cpus N`` every command runs on the first N CPUs of the
+process's affinity mask: the script pins itself with
+``os.sched_setaffinity`` before it starts any child, so each child's
+``holderlab`` reads the narrowed mask when it is imported.  Outputs must
+not depend on the core count, so a run at ``--cpus 1`` prints the same
+bytes as a run at the whole mask:
+
+    PYTHONPATH=src python tools/output_digests.py --cpus 1 > one_cpu.txt
+
 When ``python -m holderlab.cli --version`` fails under the same
 environment, no ``holderlab`` is importable: it prints no digests, says so
-on stderr and exits with code 2.
+on stderr and exits with code 2.  A ``--cpus`` outside 1 to the size of
+the mask also exits with code 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -52,6 +63,15 @@ COMMANDS = (
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cpus", type=int, default=None,
+                        help="run every command on the first N CPUs of the affinity mask")
+    args = parser.parse_args()
+    if args.cpus is not None:
+        mask = sorted(os.sched_getaffinity(0))
+        if not 1 <= args.cpus <= len(mask):
+            parser.error(f"--cpus must lie in 1..{len(mask)}, got {args.cpus}")
+        os.sched_setaffinity(0, mask[:args.cpus])
     # the commands run in the temporary directory, so a relative
     # PYTHONPATH entry is made absolute first
     env = dict(os.environ)
